@@ -13,8 +13,10 @@
 //
 // Performance figures are served through the persistent simulation
 // cache (internal/simcache): re-generating a figure, or generating a
-// new figure that shares baselines with a previous one, skips every
-// simulation already on disk. Use -no-cache to force re-simulation.
+// new figure that shares cells with a previous one, skips every
+// simulation already on disk. Within one invocation each distinct cell
+// is simulated once however many figures need it. Use -no-cache to
+// force re-simulation.
 //
 // Figures computed by a distributed sweep (cmd/rowswap-sweep) can be
 // re-rendered from their merged results file without any simulation —

@@ -18,11 +18,11 @@
 // bit-identically to the retained cycle-stepped oracle. The experiment
 // matrix in internal/report spreads its independent, deterministic
 // simulation jobs over a worker pool (-workers on the commands and on
-// `go test -bench`), shares each workload's unprotected baseline across
-// every figure, and persists every result on disk (internal/simcache,
-// -cache-dir/-no-cache on the commands) so repeated invocations never
-// re-simulate; `go test -bench QuickMatrix .` emits BENCH_kernel.json
-// tracking the wall-clock trajectory of all of it. ARCHITECTURE.md
-// documents the kernel contract, the caches, and how to add a
-// mitigation.
+// `go test -bench`), simulates each distinct cell once per process
+// however many figures need it, and persists every result on disk
+// (internal/simcache, -cache-dir/-no-cache on the commands) so repeated
+// invocations never re-simulate; `go test -bench QuickMatrix .` emits
+// BENCH_kernel.json tracking the wall-clock trajectory of all of it.
+// ARCHITECTURE.md documents the kernel contract, the caches, and how to
+// add a mitigation.
 package repro

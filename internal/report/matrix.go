@@ -9,51 +9,51 @@ import (
 	"repro/internal/config"
 	"repro/internal/sim"
 	"repro/internal/simcache"
-	"repro/internal/trace"
 )
 
-// baselineKey identifies one unprotected-baseline simulation. sim.Options
-// is all scalars, so the key is comparable and covers every knob that can
-// change the baseline's numbers.
-type baselineKey struct {
+// runKey identifies one matrix cell's simulation inside this process:
+// simcache.RunKey's inputs without the binary hash, which cannot change
+// while the process runs. A process resolves a workload name to one
+// profile per core count (and the core count is in the System), while
+// config.System and sim.Options are all scalars, so the key is
+// comparable and two cells share it exactly when they share a RunKey.
+type runKey struct {
 	workload string
-	cores    int
+	sys      config.System
 	opt      sim.Options
 }
 
-type baselineEntry struct {
+type runEntry struct {
 	once sync.Once
 	res  *sim.Result
 	err  error
 }
 
-// baselineCache shares unprotected-baseline results across every matrix
-// in the process: each figure normalizes against the same baseline, so a
-// full figure sweep (Fig 4, 12, 14, 15, 16, comparators) simulates each
-// workload's baseline once instead of once per figure. Entries are
-// deterministic, so caching cannot change any normalized number.
-var baselineCache sync.Map // baselineKey -> *baselineEntry
+// runMemo shares simulation results across every matrix in the process:
+// figures overlap heavily — every one normalizes against the same
+// baselines, and Figs. 12/14/15 and the comparators repeat mitigated
+// configs — so a full figure sweep simulates each distinct cell once,
+// deduplicated exactly like PerfOptions.PlanEvaluation. Entries are
+// deterministic, so memoizing cannot change any normalized number.
+var runMemo sync.Map // runKey -> *runEntry
 
-// ResetBaselineCache drops every process-wide cached baseline. It
-// exists for tests and benchmarks that need to model a fresh process —
-// e.g. to prove the persistent cache alone can serve a matrix, or to
-// measure a repeated CLI invocation — and has no place in normal use.
-func ResetBaselineCache() {
-	baselineCache = sync.Map{}
+// ResetRunMemo drops every process-wide memoized cell result. It exists
+// for tests and benchmarks that need to model a fresh process — e.g. to
+// prove the persistent cache alone can serve a matrix, or to make every
+// timed iteration simulate — and has no place in normal use.
+func ResetRunMemo() {
+	runMemo = sync.Map{}
 }
 
-// baselineFor returns the unprotected-baseline result for the workload,
-// simulating it at most once per (workload, cores, options) even when
-// many matrix jobs race for it. The persistent cache, when enabled,
-// additionally carries baselines across process invocations.
-func baselineFor(w trace.Workload, cores int, opt sim.Options, cache *simcache.Cache) (*sim.Result, error) {
-	e, _ := baselineCache.LoadOrStore(baselineKey{workload: w.Name, cores: cores, opt: opt}, &baselineEntry{})
-	entry := e.(*baselineEntry)
+// runCell returns the cell's result, simulating it at most once per
+// process even when many matrix jobs race for it. The persistent cache,
+// when enabled, additionally carries results across process invocations.
+func runCell(c MatrixCell, opt sim.Options, cache *simcache.Cache) (*sim.Result, error) {
+	key := runKey{workload: c.Workload.Name, sys: c.System, opt: opt.Normalized(c.System)}
+	e, _ := runMemo.LoadOrStore(key, &runEntry{})
+	entry := e.(*runEntry)
 	entry.once.Do(func() {
-		sys := config.Default()
-		sys.Core.Cores = cores
-		sys.Mitigation = config.Mitigation{}
-		entry.res, _, entry.err = simcache.RunCached(cache, w, sys, opt)
+		entry.res, _, entry.err = simcache.RunCached(cache, c.Workload, c.System, opt)
 	})
 	return entry.res, entry.err
 }
@@ -94,16 +94,13 @@ func runMatrix(opt PerfOptions, configs map[string]config.Mitigation) ([]PerfRow
 	}
 	results := make([]cell, len(jobs))
 	run := func(j MatrixCell) cell {
-		if j.Label == "" {
-			res, err := baselineFor(j.Workload, opt.Cores, plan.Sim, cache)
-			if err != nil {
-				err = fmt.Errorf("baseline %s: %w", j.Workload.Name, err)
-			}
-			return cell{res, err}
-		}
-		res, _, err := simcache.RunCached(cache, j.Workload, j.System, plan.Sim)
+		res, err := runCell(j, plan.Sim, cache)
 		if err != nil {
-			err = fmt.Errorf("%s %s: %w", j.Label, j.Workload.Name, err)
+			label := j.Label
+			if label == "" {
+				label = "baseline"
+			}
+			err = fmt.Errorf("%s %s: %w", label, j.Workload.Name, err)
 		}
 		return cell{res, err}
 	}

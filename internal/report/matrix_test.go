@@ -2,6 +2,7 @@ package report
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -26,12 +27,12 @@ var matrixConfigs = map[string]config.Mitigation{
 // the parallel experiment engine: the rows must be bit-identical for any
 // worker count, including the single-worker serial schedule.
 func TestSerialAndParallelMatrixIdentical(t *testing.T) {
-	ResetBaselineCache()
+	ResetRunMemo()
 	serial, err := runMatrix(matrixOpts(1), matrixConfigs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ResetBaselineCache()
+	ResetRunMemo()
 	parallel, err := runMatrix(matrixOpts(8), matrixConfigs)
 	if err != nil {
 		t.Fatal(err)
@@ -44,66 +45,118 @@ func TestSerialAndParallelMatrixIdentical(t *testing.T) {
 	}
 }
 
-// TestBaselineCacheDoesNotChangeNumbers verifies the baseline-sharing
-// optimization: a matrix computed against cached baselines must produce
-// the same normalized rows as one that simulated them fresh.
-func TestBaselineCacheDoesNotChangeNumbers(t *testing.T) {
-	ResetBaselineCache()
-	fresh, err := runMatrix(matrixOpts(0), matrixConfigs)
-	if err != nil {
-		t.Fatal(err)
+// TestRunMemoMatchesEvaluationPlan is the dedupe contract of the
+// process-wide memo: running every performance figure in one process
+// simulates exactly the evaluation plan's deduplicated cells (two cells
+// share a memo entry exactly when they share a RunKey), and memoizing
+// changes no number — every figure's rows equal those of a fresh-memo
+// run of that figure alone.
+func TestRunMemoMatchesEvaluationPlan(t *testing.T) {
+	opts := matrixOpts(0)
+	opts.Workloads = []string{"gcc", "mcf"}
+	opts.Sim.Instructions = 20_000
+
+	var figs []PerfFigure
+	for _, id := range PerfFigureIDs() {
+		f, ok := PerfFigureByID(id)
+		if !ok {
+			t.Fatalf("unknown figure %s", id)
+		}
+		figs = append(figs, f)
 	}
-	cached, err := runMatrix(matrixOpts(0), matrixConfigs)
-	if err != nil {
-		t.Fatal(err)
+
+	ResetRunMemo()
+	shared := make([][]PerfRow, len(figs))
+	for i, f := range figs {
+		rows, err := runMatrix(opts, f.Configs)
+		if err != nil {
+			t.Fatalf("figure %s: %v", f.ID, err)
+		}
+		shared[i] = rows
 	}
-	if !reflect.DeepEqual(fresh, cached) {
-		t.Errorf("cached-baseline rows diverged:\nfresh:  %+v\ncached: %+v", fresh, cached)
+	plan := opts.PlanEvaluation(figs)
+	entries := 0
+	runMemo.Range(func(any, any) bool { entries++; return true })
+	if want := len(plan.Cells); entries != want {
+		t.Errorf("memo holds %d entries after all figures, want the plan's %d deduplicated cells (of %d figure cells)",
+			entries, want, plan.TotalFigureCells())
 	}
-	// The cache must actually be warm now. runMatrix keys baselines on
-	// normalized options (so explicit defaults share the zero value's
-	// entry), hence the Plan-derived lookup key.
-	plan := matrixOpts(0).Plan(matrixConfigs)
-	if _, ok := baselineCache.Load(baselineKey{workload: plan.Workloads[0].Name, cores: 2,
-		opt: plan.Sim}); !ok {
-		t.Error("baseline cache empty after two matrix runs")
+
+	for i, f := range figs {
+		ResetRunMemo()
+		alone, err := runMatrix(opts, f.Configs)
+		if err != nil {
+			t.Fatalf("figure %s alone: %v", f.ID, err)
+		}
+		if !reflect.DeepEqual(shared[i], alone) {
+			t.Errorf("figure %s: memo-shared rows differ from a fresh-memo run:\nshared: %+v\nalone:  %+v",
+				f.ID, shared[i], alone)
+		}
 	}
 }
 
 // TestMatrixErrorPropagates checks that an invalid config surfaces as an
-// error (and not a deadlock or partial rows) under the worker pool.
+// error (and not a deadlock or partial rows) under the worker pool. The
+// memo keeps the failure: the figure fails the same way on every call —
+// a memo hit must never turn into a nil result — and the failure does
+// not poison the valid cells a later figure in the same process needs.
 func TestMatrixErrorPropagates(t *testing.T) {
 	bad := map[string]config.Mitigation{
 		"bad": {Kind: config.MitigationRRS}, // TRH=0 fails validation
 	}
-	if _, err := runMatrix(matrixOpts(4), bad); err == nil {
-		t.Error("invalid config did not error")
+	ResetRunMemo()
+	var first string
+	for call := 1; call <= 3; call++ {
+		rows, err := runMatrix(matrixOpts(4), bad)
+		if err == nil {
+			t.Fatalf("call %d: invalid config did not error", call)
+		}
+		if rows != nil {
+			t.Errorf("call %d: error came with rows %+v", call, rows)
+		}
+		// Every call must report the cell's own failure, not a
+		// downstream symptom such as a missing result.
+		if call == 1 {
+			first = err.Error()
+			if !strings.HasPrefix(first, "bad gcc: ") {
+				t.Errorf("call 1: error %q does not name the failed cell", first)
+			}
+		} else if err.Error() != first {
+			t.Errorf("call %d: error %q, want the first call's %q", call, err, first)
+		}
+	}
+	rows, err := runMatrix(matrixOpts(4), matrixConfigs)
+	if err != nil {
+		t.Fatalf("valid figure after a failed one: %v", err)
+	}
+	if len(rows) != 3 || len(rows[0].Norm) != len(matrixConfigs) {
+		t.Errorf("valid figure after a failed one: rows %+v", rows)
 	}
 }
 
 // TestMatrixWithPersistentCacheIdentical proves the persistent cache is
 // invisible to the matrix's numbers: uncached rows, cold-cache rows, and
 // warm-cache rows must be bit-identical, and the warm pass must actually
-// be served from disk (the process-wide baseline cache is reset between
-// passes, so only simcache can avoid re-simulation).
+// be served from disk (the process-wide memo is reset between passes, so
+// only simcache can avoid re-simulation).
 func TestMatrixWithPersistentCacheIdentical(t *testing.T) {
 	opts := matrixOpts(2)
 	opts.Workloads = []string{"gcc", "mcf"}
 	opts.Sim.Instructions = 40_000
 
-	ResetBaselineCache()
+	ResetRunMemo()
 	plain, err := runMatrix(opts, matrixConfigs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	opts.CacheDir = t.TempDir()
-	ResetBaselineCache()
+	ResetRunMemo()
 	cold, err := runMatrix(opts, matrixConfigs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ResetBaselineCache()
+	ResetRunMemo()
 	warm, err := runMatrix(opts, matrixConfigs)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +177,7 @@ func TestMatrixCacheDirFailureFallsBack(t *testing.T) {
 	opts.Sim.Instructions = 30_000
 	opts.CacheDir = string([]byte{0}) // invalid path on every platform
 
-	ResetBaselineCache()
+	ResetRunMemo()
 	rows, err := runMatrix(opts, matrixConfigs)
 	if err != nil {
 		t.Fatal(err)

@@ -116,7 +116,7 @@ func TestSweepEndToEndTwoWorkerProcesses(t *testing.T) {
 	}
 
 	// Reference: the same matrix in a single process.
-	report.ResetBaselineCache()
+	report.ResetRunMemo()
 	want, err := report.Fig14(io.Discard, report.PerfOptions{
 		Workloads: []string{"gcc", "mcf", "gups"},
 		Cores:     2,
@@ -222,11 +222,11 @@ func TestEvaluationSweepEndToEndTwoWorkerProcesses(t *testing.T) {
 	}
 
 	// Every figure bit-identical to its own single-process run, fresh
-	// per figure (ResetBaselineCache) exactly like a per-figure CLI
+	// per figure (ResetRunMemo) exactly like a per-figure CLI
 	// invocation would be.
 	nontrivial := false
 	for _, id := range report.PerfFigureIDs() {
-		report.ResetBaselineCache()
+		report.ResetRunMemo()
 		var want []report.PerfRow
 		var err error
 		switch id {

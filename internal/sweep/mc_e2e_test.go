@@ -78,36 +78,10 @@ func TestServerSweepMonteCarloMixedManifest(t *testing.T) {
 	// are done (they sit first in the manifest), provably a Monte-Carlo
 	// batch: the kill lands mid-batch, not mid-simulation.
 	distStart := time.Now()
-	doomed := exec.Command(sweepBin, "work", "-server", url, "-name", "doomed", "-workers", "1", "-manifest", manifest)
-	doomed.Dir = dir
-	if err := doomed.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		doomed.Process.Kill()
-		doomed.Wait()
-	}()
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		st := queueStatus(t, url)
-		if st["done"].(float64) >= simJobs && st["leased"].(float64) >= 1 {
-			break
-		}
-		if st["done"].(float64) >= totalJobs {
-			t.Fatal("queue drained before the worker could be killed")
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("worker never held a Monte-Carlo lease: %v", st)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if err := doomed.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	doomed.Wait()
+	killWorkerUntilRequeued(t, sweepBin, dir, url, manifest, simJobs, totalJobs)
 
-	// The second worker drains everything else, inheriting the orphaned
-	// batch once its lease expires.
+	// The second worker drains everything else, inheriting the requeued
+	// batch.
 	survivor := exec.Command(sweepBin, "work", "-server", url, "-name", "survivor", "-workers", "2")
 	survivor.Dir = dir
 	if err := survivor.Run(); err != nil {

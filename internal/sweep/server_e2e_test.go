@@ -114,11 +114,75 @@ func queueStatusPath(t *testing.T, url, path string) map[string]any {
 	return st
 }
 
+// killWorkerUntilRequeued proves lease recovery against a real worker:
+// it starts a single-goroutine `work` process, SIGKILLs it the
+// moment the queue reports a lease once at least minDone jobs are done
+// (with the worker running alone, that lease is provably its own), and
+// waits until the orphaned lease resolves. A kill that lands after the
+// worker already stored its result is reconciled by the lease sweep
+// instead of requeued, and exercises nothing; the helper then kills a
+// fresh worker on a later lease, which costs only the job or two that
+// worker finishes before its kill. It returns once a kill has been
+// requeued, and fails the test if the queue drains (done reaches
+// total) first.
+func killWorkerUntilRequeued(t *testing.T, sweepBin, dir, url, manifest string, minDone, total float64) {
+	t.Helper()
+	for attempt := 1; ; attempt++ {
+		before := queueStatus(t, url)["requeues"].(float64)
+		doomed := exec.Command(sweepBin, "work", "-server", url, "-name", "doomed", "-workers", "1", "-manifest", manifest)
+		doomed.Dir = dir
+		if err := doomed.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			doomed.Process.Kill()
+			doomed.Wait()
+		})
+		deadline := time.Now().Add(60 * time.Second)
+		for {
+			st := queueStatus(t, url)
+			if st["done"].(float64) >= minDone && st["leased"].(float64) >= 1 {
+				break
+			}
+			if st["done"].(float64) >= total {
+				t.Fatal("queue drained before the worker could be killed; raise -instructions")
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("worker never held a lease: %v", st)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		if err := doomed.Process.Kill(); err != nil {
+			t.Fatal(err)
+		}
+		doomed.Wait()
+
+		// Every status poll sweeps the leases: the orphan is either
+		// reconciled at once (its result is stored) or requeued when
+		// its lease expires.
+		var st map[string]any
+		for deadline = time.Now().Add(30 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+			st = queueStatus(t, url)
+			if st["leased"].(float64) == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("killed worker's lease never resolved: %v", st)
+			}
+		}
+		if st["requeues"].(float64) > before {
+			return
+		}
+		t.Logf("attempt %d: the killed worker's job was already stored or completed (store_reconciled = %v); killing a new worker on a later lease",
+			attempt, st["store_reconciled"])
+	}
+}
+
 // singleProcessFig14 computes the reference rows the merged results
 // must match bit-identically.
 func singleProcessFig14(t *testing.T, workloads []string, instructions int64) []report.PerfRow {
 	t.Helper()
-	report.ResetBaselineCache()
+	report.ResetRunMemo()
 	want, err := report.Fig14(io.Discard, report.PerfOptions{
 		Workloads: workloads,
 		Cores:     2,
@@ -298,40 +362,11 @@ func TestServerSweepSurvivesKilledWorker(t *testing.T) {
 		"-addr", "127.0.0.1:0", "-lease", "1s")
 
 	// The doomed worker: single goroutine, so it always holds exactly
-	// one lease while alive.
-	doomed := exec.Command(sweepBin, "work", "-server", url, "-name", "doomed", "-workers", "1", "-manifest", manifest)
-	doomed.Dir = dir
-	if err := doomed.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		doomed.Process.Kill()
-		doomed.Wait()
-	}()
+	// one lease while alive. It is killed the moment it demonstrably
+	// holds one (and before the queue could possibly drain).
+	killWorkerUntilRequeued(t, sweepBin, dir, url, manifest, 0, 6)
 
-	// Kill it the moment it demonstrably holds a lease (and before the
-	// queue could possibly drain).
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		st := queueStatus(t, url)
-		if st["leased"].(float64) >= 1 {
-			break
-		}
-		if st["done"].(float64) >= 6 {
-			t.Fatal("queue drained before the worker could be killed; raise -instructions")
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("worker never claimed a job: %v", st)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if err := doomed.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	doomed.Wait()
-
-	// The rescuer finishes everything, including the orphaned job once
-	// its lease expires.
+	// The rescuer finishes everything, including the requeued job.
 	rescue := run("work", "-server", url, "-name", "rescuer", "-manifest", manifest)
 	t.Logf("rescuer: %s", rescue)
 

@@ -380,7 +380,7 @@ func TestExpandRejectsTamperedManifest(t *testing.T) {
 // must yield rows bit-identical to report.Fig14 on the same options.
 func TestShardedSweepMatchesInProcessMatrix(t *testing.T) {
 	opt := quickOpts()
-	report.ResetBaselineCache()
+	report.ResetRunMemo()
 	want, err := report.Fig14(io.Discard, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -430,7 +430,7 @@ func TestEvaluationSweepMatchesPerFigureRuns(t *testing.T) {
 	figs := []string{"4", "12", "14"}
 	want := map[string][]report.PerfRow{}
 	for _, id := range figs {
-		report.ResetBaselineCache()
+		report.ResetRunMemo()
 		var err error
 		switch id {
 		case "4":
@@ -525,7 +525,7 @@ func TestMergeReportsMissingShard(t *testing.T) {
 // in-process run byte for byte.
 func TestMergedResultsRenderAndRoundTrip(t *testing.T) {
 	opt := quickOpts()
-	report.ResetBaselineCache()
+	report.ResetRunMemo()
 	var wantBuf bytes.Buffer
 	wantRows, err := report.Fig14(&wantBuf, opt)
 	if err != nil {
