@@ -103,6 +103,21 @@ func BenchmarkFig06MonteCarlo(b *testing.B) {
 	}
 }
 
+// BenchmarkRunBatchDirect times the Monte-Carlo direct regime on the
+// golden fixture's direct cell (Juggernaut vs RRS at T_RH 4800, 6 swaps,
+// 1100 biasing rounds: k = 2 hits at G/R ~ 3e-3, about 2e5 refresh
+// windows per trial), one 25-trial batch per iteration.
+func BenchmarkRunBatchDirect(b *testing.B) {
+	spec := attack.TrialSpec{Model: attack.NewJuggernautRRS(4800, 6), Rounds: 1100}
+	const trials = 25
+	var windows uint64
+	for i := 0; i < b.N; i++ {
+		windows += spec.RunBatch(0xf16, i, trials).SumLo
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(windows), "ns/window")
+	b.ReportMetric(float64(b.N*trials)/b.Elapsed().Seconds(), "trials/s")
+}
+
 func BenchmarkFig07RequiredGuesses(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		report.Fig7(io.Discard)

@@ -73,7 +73,11 @@ const TailQuantum = 1.0 / 1024
 // ~500k and the engine switches to the closed-form tail sampler. (The
 // artifact's C++ simulator is bounded the same way; it simply skips —
 // the tail sampler is what lets the distributed sweep validate the
-// 10^13-day points of Figs. 6/10 instead.)
+// 10^13-day points of Figs. 6/10 instead.) With stats.PoissonWindows a
+// 500k-window trial costs about a millisecond, so the bound is no longer
+// about cost; it stays where it is because it decides which regime, and
+// so which RNG draws, each cell uses: moving it changes the bits of
+// every cell it crosses.
 const MinDirectProb = 2e-6
 
 // add128 adds (addHi:addLo) into (hi:lo).

@@ -40,17 +40,24 @@ func (r *RNG) Split() *RNG { return NewRNG(r.Uint64() ^ 0xd1b54a32d192ed03) }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
+// xoshiro is one xoshiro256** step over state held in locals: it
+// returns Uint64's output and the advanced state.
+func xoshiro(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return out, s0, s1, s2, rotl(s3, 45)
+}
+
 // Uint64 returns the next 64 uniformly random bits.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	var out uint64
+	out, r.s[0], r.s[1], r.s[2], r.s[3] = xoshiro(r.s[0], r.s[1], r.s[2], r.s[3])
+	return out
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
@@ -94,8 +101,8 @@ func (r *RNG) Perm(n int) []int {
 
 // Geometric returns a sample from the geometric distribution with success
 // probability p: the number of Bernoulli(p) trials up to and including the
-// first success. For very small p it uses the inverse-CDF method to avoid
-// looping. Returns at least 1. Panics if p <= 0 or p > 1.
+// first success, by the inverse-CDF method (one uniform per sample, however
+// small p is). Returns at least 1. Panics if p <= 0 or p > 1.
 func (r *RNG) Geometric(p float64) float64 {
 	if p <= 0 || p > 1 {
 		panic("stats: Geometric probability out of (0,1]")
@@ -170,6 +177,82 @@ func (r *RNG) Poisson(lambda float64) int {
 	return int(n + 0.5)
 }
 
+// PoissonWindows counts independent Poisson(lambda) windows up to and
+// including the first whose count reaches k — the per-window loop of
+// the attack Monte-Carlo's direct regime, which runs up to ~500k
+// windows per trial. WindowsUntil consumes the RNG's stream exactly
+// like repeated Poisson(lambda) calls and returns the identical count,
+// so callers get the same bits as the loop, only faster.
+//
+// The speed comes from Knuth's method itself: a window's count is 0
+// exactly when its first uniform is at most l = exp(-lambda), which for
+// the attack's lambda is most windows. l is precomputed once, and
+// because Float64 is m·2^-53 for the draw's top 53 bits m, the test
+// Float64() <= l is the integer test m <= ⌊l·2^53⌋ (exact: l is a
+// normal float64 for lambda < 30, and the scale is a power of two).
+// Those zero windows run in a loop that keeps the xoshiro256** state
+// in registers; the first draw above the threshold finishes Knuth's
+// product loop from p = m·2^-53, the same float Poisson starts from.
+type PoissonWindows struct {
+	rng    *RNG
+	lambda float64
+	l      float64 // exp(-lambda), Knuth's stopping bound
+	t      uint64  // ⌊l·2^53⌋: top 53 bits m <= t ⇔ Float64() <= l
+}
+
+// NewPoissonWindows returns a window sampler over r with per-window
+// mean lambda. Panics unless lambda > 0: with lambda <= 0 no window
+// ever has a positive count.
+func NewPoissonWindows(r *RNG, lambda float64) *PoissonWindows {
+	if !(lambda > 0) {
+		panic("stats: PoissonWindows mean must be positive")
+	}
+	w := &PoissonWindows{rng: r, lambda: lambda}
+	if lambda < 30 {
+		w.l = math.Exp(-lambda)
+		w.t = uint64(w.l * (1 << 53))
+	}
+	return w
+}
+
+// WindowsUntil returns the number of windows drawn up to and including
+// the first with a Poisson count >= k (at least 1), leaving the RNG
+// exactly where that many Poisson(lambda) calls would.
+func (w *PoissonWindows) WindowsUntil(k int) uint64 {
+	n := uint64(0)
+	if w.lambda >= 30 || k <= 0 {
+		// Poisson's normal approximation, or a first window that
+		// always succeeds: nothing to fast-path.
+		for {
+			n++
+			if w.rng.Poisson(w.lambda) >= k {
+				return n
+			}
+		}
+	}
+	s0, s1, s2, s3 := w.rng.s[0], w.rng.s[1], w.rng.s[2], w.rng.s[3]
+	for {
+		n++
+		var m uint64
+		m, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+		if m>>11 <= w.t {
+			continue // this window's count is 0
+		}
+		count, p := 1, float64(m>>11)*0x1p-53
+		for {
+			m, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+			if p *= float64(m>>11) * 0x1p-53; p <= w.l {
+				break
+			}
+			count++
+		}
+		if count >= k {
+			w.rng.s = [4]uint64{s0, s1, s2, s3}
+			return n
+		}
+	}
+}
+
 // Normal returns a standard normal sample (Box-Muller).
 func (r *RNG) Normal() float64 {
 	u1 := r.Float64()
@@ -178,42 +261,4 @@ func (r *RNG) Normal() float64 {
 	}
 	u2 := r.Float64()
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
-// Binomial returns a sample of the number of successes in n Bernoulli(p)
-// trials. Small n·p uses explicit trials or Poisson approximation; large
-// uses a normal approximation clamped to [0, n].
-func (r *RNG) Binomial(n int, p float64) int {
-	switch {
-	case n <= 0 || p <= 0:
-		return 0
-	case p >= 1:
-		return n
-	}
-	np := float64(n) * p
-	if n <= 64 {
-		k := 0
-		for i := 0; i < n; i++ {
-			if r.Float64() < p {
-				k++
-			}
-		}
-		return k
-	}
-	if np < 10 && p < 0.01 {
-		k := r.Poisson(np)
-		if k > n {
-			k = n
-		}
-		return k
-	}
-	sd := math.Sqrt(np * (1 - p))
-	k := int(r.Normal()*sd + np + 0.5)
-	if k < 0 {
-		k = 0
-	}
-	if k > n {
-		k = n
-	}
-	return k
 }

@@ -131,36 +131,6 @@ func TestPoissonMean(t *testing.T) {
 	}
 }
 
-func TestBinomialMoments(t *testing.T) {
-	r := NewRNG(5)
-	cases := []struct {
-		n int
-		p float64
-	}{{10, 0.3}, {1000, 0.5}, {100000, 1e-4}, {70000, 1.0 / 131072}}
-	for _, c := range cases {
-		sum := 0.0
-		const iters = 5000
-		for i := 0; i < iters; i++ {
-			k := r.Binomial(c.n, c.p)
-			if k < 0 || k > c.n {
-				t.Fatalf("Binomial(%d,%g) = %d out of range", c.n, c.p, k)
-			}
-			sum += float64(k)
-		}
-		mean, want := sum/iters, float64(c.n)*c.p
-		tol := 5 * math.Sqrt(want*(1-c.p)/iters) // 5 sigma of the sample mean
-		if tol < 0.05*want {
-			tol = 0.05 * want
-		}
-		if math.Abs(mean-want) > tol {
-			t.Errorf("Binomial(%d,%g) mean = %g, want ~%g", c.n, c.p, mean, want)
-		}
-	}
-	if r.Binomial(10, 0) != 0 || r.Binomial(10, 1) != 10 || r.Binomial(0, 0.5) != 0 {
-		t.Error("Binomial edge cases wrong")
-	}
-}
-
 func TestNormalMoments(t *testing.T) {
 	r := NewRNG(6)
 	sum, sq := 0.0, 0.0
