@@ -5,8 +5,11 @@
 // Results are served from the persistent simulation cache
 // (internal/simcache) when available, so repeating an invocation — or
 // re-running a mitigated configuration whose baseline was already
-// simulated — costs only a file read. Use -no-cache to force
-// re-simulation or -cache-dir to relocate the cache.
+// simulated — costs only a file read. A mitigated run whose baseline
+// proves no row can reach the swap threshold is derived from the
+// baseline instead of simulated (sim.Derive), and the output says so.
+// Use -no-cache to force re-simulation or -cache-dir to relocate the
+// cache.
 //
 // Examples:
 //
@@ -157,6 +160,12 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("baseline IPC: %.4f\n", rb.MeanIPC)
+	if rm.Derived() {
+		base := sys
+		base.Mitigation = config.Mitigation{}
+		fmt.Printf("(mitigated result derived from baseline run %.12s: no row can reach T_S = %d)\n",
+			simcache.RunKey(w, base, opt), sys.Mitigation.TS())
+	}
 	printResult(rm, norm)
 }
 

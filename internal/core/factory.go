@@ -31,3 +31,12 @@ func New(mem *dram.Memory, sys config.System, rng *stats.RNG) (Mitigation, error
 		return nil, fmt.Errorf("core: unknown mitigation kind %v", m.Kind)
 	}
 }
+
+// NameOf returns the Name the mitigation New builds for m would report,
+// without building it.
+func NameOf(m config.Mitigation) string {
+	if m.Kind == config.MitigationRRS && !m.ImmediateUnswap {
+		return "rrs-nounswap"
+	}
+	return m.Kind.String()
+}

@@ -49,6 +49,14 @@ type Stats struct {
 }
 
 // Mitigation is the memory-controller hook implemented by every defense.
+//
+// Every implementation is inert until its first OnAggressor call:
+// Resolve is the identity, Tick and OnWindowEnd issue no bank operation
+// (no activation, no blocking), NextWork reports NoWork, and Stats is
+// zero. A mitigated run whose tracker never crosses T_S is therefore
+// cycle-for-cycle its unprotected baseline, which is what lets
+// sim.Derive build such a run's Result from the baseline's instead of
+// simulating it (TestMitigationsInertBeforeFirstAggressor pins this).
 type Mitigation interface {
 	// Name identifies the mechanism.
 	Name() string

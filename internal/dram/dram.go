@@ -140,6 +140,9 @@ type Bank struct {
 	// Statistics (cumulative, never reset).
 	TotalACTs    uint64
 	TotalRefresh uint64
+
+	// windowStartACTs is TotalACTs at the current window's start.
+	windowStartACTs uint64
 }
 
 // rankState is the contiguous backing store for all banks of one rank:
@@ -517,7 +520,12 @@ func (b *Bank) StartNewWindow() {
 		b.epoch = 1
 	}
 	b.touched = b.touched[:0]
+	b.windowStartACTs = b.TotalACTs
 }
+
+// WindowACTs returns the activations the bank has issued in the current
+// refresh window.
+func (b *Bank) WindowACTs() uint64 { return b.TotalACTs - b.windowStartACTs }
 
 // VictimSlots returns, in ascending slot order, the physical slots whose
 // activation count reached trh in the current window — the slots whose

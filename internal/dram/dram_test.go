@@ -161,12 +161,19 @@ func TestWindowAccountingAndVictims(t *testing.T) {
 	if v := b.VictimSlots(11); len(v) != 0 {
 		t.Errorf("VictimSlots above count = %v", v)
 	}
+	if n := b.WindowACTs(); n != 10 {
+		t.Errorf("WindowACTs = %d, want 10", n)
+	}
 	b.StartNewWindow()
-	if c, _ := b.MaxWindowACT(); c != 0 || b.ACTCount(7) != 0 {
+	if c, _ := b.MaxWindowACT(); c != 0 || b.ACTCount(7) != 0 || b.WindowACTs() != 0 {
 		t.Error("StartNewWindow did not reset counters")
 	}
 	if b.TotalACTs != 10 {
 		t.Error("cumulative TotalACTs should survive window reset")
+	}
+	b.Activate(7, now, &tm)
+	if n := b.WindowACTs(); n != 1 {
+		t.Errorf("WindowACTs after one ACT in the new window = %d, want 1", n)
 	}
 }
 

@@ -204,21 +204,31 @@ func (c *Controller) TSThreshold() int { return c.ts }
 // Hydra with 128-row groups, a group threshold of T_S/2, and a per-bank
 // row-counter cache.
 func NewTracker(sys config.System, geo config.Geometry) tracker.Tracker {
-	m := sys.Mitigation
-	ts := m.TS()
-	if ts <= 0 {
-		ts = 1 << 20 // baseline: tracker present but never crossed
-	}
 	numBanks := geo.TotalBanks()
-	switch m.Tracker {
+	switch sys.Mitigation.Tracker {
 	case config.TrackerHydra:
-		gt := ts / 2
+		gt := trackerTS(sys) / 2
 		if gt < 1 {
 			gt = 1
 		}
 		return tracker.NewHydra(numBanks, geo.RowsPerBank, 128, gt, 2048)
 	default:
-		capEntries := sys.Timing.MaxActivations()/ts + 16
-		return tracker.NewMisraGries(numBanks, capEntries)
+		return tracker.NewMisraGries(numBanks, MisraGriesCapacity(sys))
 	}
+}
+
+// MisraGriesCapacity returns the per-bank entry capacity NewTracker
+// gives a Misra-Gries tracker: ACT_max / T_S + 16 entries, with ACT_max
+// taken over sys's refresh window (the compressed one inside sim.Run).
+func MisraGriesCapacity(sys config.System) int {
+	return sys.Timing.MaxActivations()/trackerTS(sys) + 16
+}
+
+// trackerTS is the threshold a tracker is sized for: T_S, or a huge
+// value for the unprotected baseline (tracker present, never crossed).
+func trackerTS(sys config.System) int {
+	if ts := sys.Mitigation.TS(); ts > 0 {
+		return ts
+	}
+	return 1 << 20
 }

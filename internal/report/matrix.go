@@ -3,6 +3,7 @@ package report
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -37,6 +38,18 @@ type runEntry struct {
 // deterministic, so memoizing cannot change any normalized number.
 var runMemo sync.Map // runKey -> *runEntry
 
+// simulatedCells and derivedCells count, process-wide, the memoized
+// cells that ran sim.Run and those sim.Derive built from their
+// baseline; cells served by the persistent cache count as neither.
+var simulatedCells, derivedCells atomic.Int64
+
+// CellCounts returns how many matrix cells this process has simulated
+// and how many it derived from their baseline (see sim.Derive). The
+// counts are cumulative; ResetRunMemo does not clear them.
+func CellCounts() (simulated, derived int64) {
+	return simulatedCells.Load(), derivedCells.Load()
+}
+
 // ResetRunMemo drops every process-wide memoized cell result. It exists
 // for tests and benchmarks that need to model a fresh process — e.g. to
 // prove the persistent cache alone can serve a matrix, or to make every
@@ -46,14 +59,32 @@ func ResetRunMemo() {
 }
 
 // runCell returns the cell's result, simulating it at most once per
-// process even when many matrix jobs race for it. The persistent cache,
-// when enabled, additionally carries results across process invocations.
+// process even when many matrix jobs race for it. A mitigated cell
+// first resolves its workload's baseline (every matrix row needs it
+// anyway) and is derived from it when sim.Derive can prove the two runs
+// identical. The persistent cache, when enabled, additionally carries
+// results across process invocations.
 func runCell(c MatrixCell, opt sim.Options, cache *simcache.Cache) (*sim.Result, error) {
 	key := runKey{workload: c.Workload.Name, sys: c.System, opt: opt.Normalized(c.System)}
 	e, _ := runMemo.LoadOrStore(key, &runEntry{})
 	entry := e.(*runEntry)
 	entry.once.Do(func() {
-		entry.res, _, entry.err = simcache.RunCached(cache, c.Workload, c.System, opt)
+		if sim.Derivable(c.System.Mitigation) {
+			base := c
+			base.System.Mitigation = config.Mitigation{}
+			if rb, err := runCell(base, opt, cache); err == nil {
+				if d, ok := sim.Derive(rb, c.System, opt); ok {
+					entry.res = d
+					derivedCells.Add(1)
+					return
+				}
+			}
+		}
+		var hit bool
+		entry.res, hit, entry.err = simcache.RunCached(cache, c.Workload, c.System, opt)
+		if entry.err == nil && !hit {
+			simulatedCells.Add(1)
+		}
 	})
 	return entry.res, entry.err
 }
@@ -66,7 +97,8 @@ func runCell(c MatrixCell, opt sim.Options, cache *simcache.Cache) (*sim.Result,
 // an independent deterministic job (its RNG is re-seeded from the
 // options inside sim.Run), so the jobs are spread over a pool of
 // opt.Workers goroutines and the rows are identical to a serial run
-// regardless of scheduling.
+// regardless of scheduling. Baselines are claimed first, so a mitigated
+// cell seldom waits on its baseline (see runCell).
 func runMatrix(opt PerfOptions, configs map[string]config.Mitigation) ([]PerfRow, error) {
 	opt = opt.withDefaults()
 	plan := opt.Plan(configs)
@@ -87,6 +119,14 @@ func runMatrix(opt PerfOptions, configs map[string]config.Mitigation) ([]PerfRow
 
 	stride := plan.stride()
 	jobs := plan.Cells
+	order := make([]int, 0, len(jobs))
+	for _, baselines := range []bool{true, false} {
+		for i, j := range jobs {
+			if (j.Label == "") == baselines {
+				order = append(order, i)
+			}
+		}
+	}
 
 	type cell struct {
 		res *sim.Result
@@ -129,10 +169,11 @@ func runMatrix(opt PerfOptions, configs map[string]config.Mitigation) ([]PerfRow
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(cursor.Add(1))
-				if i >= len(jobs) || failed.Load() {
+				n := int(cursor.Add(1))
+				if n >= len(order) || failed.Load() {
 					return
 				}
+				i := order[n]
 				results[i] = run(jobs[i])
 				if results[i].err != nil {
 					failed.Store(true)
@@ -146,8 +187,20 @@ func runMatrix(opt PerfOptions, configs map[string]config.Mitigation) ([]PerfRow
 				pending[wi]--
 				if pending[wi] == 0 {
 					if rb := results[wi*stride].res; rb != nil {
-						fmt.Fprintf(opt.Progress, "  %-14s done (baseline IPC %.3f)\n",
-							workloads[wi].Name, rb.MeanIPC)
+						// Name the cells derived from this baseline
+						// instead of simulated (see runCell).
+						var derived []string
+						for li, l := range plan.Labels {
+							if r := results[wi*stride+1+li].res; r != nil && r.Derived() {
+								derived = append(derived, l)
+							}
+						}
+						note := ""
+						if len(derived) > 0 {
+							note = "; derived from it: " + strings.Join(derived, ", ")
+						}
+						fmt.Fprintf(opt.Progress, "  %-14s done (baseline IPC %.3f%s)\n",
+							workloads[wi].Name, rb.MeanIPC, note)
 					}
 				}
 				progMu.Unlock()

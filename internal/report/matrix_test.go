@@ -186,3 +186,49 @@ func TestMatrixCacheDirFailureFallsBack(t *testing.T) {
 		t.Fatalf("rows = %d, want 1", len(rows))
 	}
 }
+
+// TestMatrixDerivesQuietCells checks that runMatrix derives the cells
+// whose baseline proves no crossing (sim.Derive), says so in its
+// progress output, counts them apart from simulated cells, and still
+// produces the rows a plain sim.Run of every cell gives.
+func TestMatrixDerivesQuietCells(t *testing.T) {
+	opts := matrixOpts(2)
+	opts.Workloads = []string{"povray", "gcc"}
+	opts.Sim.Instructions = 40_000
+	var progress strings.Builder
+	opts.Progress = &progress
+
+	ResetRunMemo()
+	sim0, der0 := CellCounts()
+	rows, err := runMatrix(opts, matrixConfigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim1, der1 := CellCounts()
+	if der1 == der0 {
+		t.Fatalf("no cell derived; progress:\n%s", progress.String())
+	}
+	if got := (sim1 - sim0) + (der1 - der0); got != 6 {
+		t.Errorf("%d simulated + %d derived cells, want the matrix's 6", sim1-sim0, der1-der0)
+	}
+	if !strings.Contains(progress.String(), "derived from it: ") {
+		t.Errorf("progress does not name the derived cells:\n%s", progress.String())
+	}
+
+	plan := opts.Plan(matrixConfigs)
+	for wi, w := range plan.Workloads {
+		rb, err := sim.Run(w, plan.Cells[wi*3].System, plan.Sim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for li, l := range plan.Labels {
+			rm, err := sim.Run(w, plan.Cells[wi*3+1+li].System, plan.Sim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := rm.MeanIPC / rb.MeanIPC; rows[wi].Norm[l] != want {
+				t.Errorf("%s %s: normalized perf %v, simulated %v", w.Name, l, rows[wi].Norm[l], want)
+			}
+		}
+	}
+}

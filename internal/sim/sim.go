@@ -141,6 +141,11 @@ type Result struct {
 	// MaxWindowACT is the hottest per-slot activation count observed in
 	// any window (Row Hammer exposure of the run).
 	MaxWindowACT uint32
+	// Windows profiles every refresh window of the run, the final
+	// partial one included: one entry per bank, in bank order, window
+	// after window. Derive reads a baseline's profile to prove a
+	// mitigated run's tracker can never cross T_S.
+	Windows []BankWindow
 
 	// Instructions is the total number of budgeted instructions simulated
 	// across all cores.
@@ -159,6 +164,13 @@ type Result struct {
 	// kernel rather than the simulated machine — a cycle-stepped run
 	// reports only Ticks — so determinism checks must ignore it.
 	Regimes cpu.RegimeStats
+}
+
+// BankWindow is one bank's activity in one refresh window: its hottest
+// slot's activations and its total activations.
+type BankWindow struct {
+	MaxACT uint32
+	ACTs   uint32
 }
 
 // issuer adapts the LLC + memory controller to the cpu.Issuer interface.
@@ -288,20 +300,17 @@ func Run(w trace.Workload, sys config.System, opt Options) (*Result, error) {
 
 	start := time.Now()
 	var now Cycles
-	var maxACT uint32
 	var err2 error
 	if opt.Kernel == KernelCycle {
-		now, maxACT, err2 = machine.runCycleStepped(opt.MaxCycles)
+		now, err2 = machine.runCycleStepped(opt.MaxCycles)
 	} else {
-		now, maxACT, err2 = machine.runEventDriven(opt.MaxCycles)
+		now, err2 = machine.runEventDriven(opt.MaxCycles)
 	}
 	if err2 != nil {
 		return nil, fmt.Errorf("sim: %s did not converge within %d cycles", w.Name, opt.MaxCycles)
 	}
 	wall := time.Since(start).Seconds()
-	if a, _, _ := mem.MaxWindowACT(); a > maxACT {
-		maxACT = a
-	}
+	machine.sampleWindow()
 
 	res := &Result{
 		Workload:     w.Name,
@@ -313,7 +322,8 @@ func Run(w trace.Workload, sys config.System, opt Options) (*Result, error) {
 		LLC:          llc.Stats(),
 		Ctrl:         ctrl.Stats(),
 		Mit:          mit.Stats(),
-		MaxWindowACT: maxACT,
+		MaxWindowACT: machine.maxACT,
+		Windows:      machine.windows,
 		Instructions: opt.Instructions * int64(len(cores)),
 		WallSeconds:  wall,
 		Kernel:       opt.Kernel.String(),
@@ -342,13 +352,32 @@ type machine struct {
 	mem    *dram.Memory
 	llc    *cache.LLC
 	window Cycles
+
+	// maxACT and windows accumulate Result.MaxWindowACT and
+	// Result.Windows, one sampleWindow per window.
+	maxACT  uint32
+	windows []BankWindow
+}
+
+// sampleWindow records every bank's activity in the current refresh
+// window (its hottest slot and its activation total) before the window's
+// counters are reset.
+func (m *machine) sampleWindow() {
+	for i := 0; i < m.mem.NumBanks(); i++ {
+		b := m.mem.Bank(i)
+		a, _ := b.MaxWindowACT()
+		if a > m.maxACT {
+			m.maxACT = a
+		}
+		m.windows = append(m.windows, BankWindow{MaxACT: a, ACTs: uint32(b.WindowACTs())})
+	}
 }
 
 // tick advances every component at cycle now (cores in order, then the
 // controller, then refresh-window bookkeeping — the order the legacy
 // loop established) and reports whether all cores reached their budget.
-// windowEnd and maxACT are updated in place.
-func (m *machine) tick(now Cycles, windowEnd *Cycles, maxACT *uint32) (allDone bool) {
+// windowEnd is updated in place.
+func (m *machine) tick(now Cycles, windowEnd *Cycles) (allDone bool) {
 	allDone = true
 	for _, c := range m.cores {
 		c.Tick(now)
@@ -357,22 +386,20 @@ func (m *machine) tick(now Cycles, windowEnd *Cycles, maxACT *uint32) (allDone b
 		}
 	}
 	m.ctrl.Tick(now)
-	m.windowRoll(now, windowEnd, maxACT)
+	m.windowRoll(now, windowEnd)
 	return allDone
 }
 
 // windowRoll performs the refresh-window boundary bookkeeping when now
-// has reached windowEnd: sample the hottest slot, reset Row Hammer
-// accounting, drop LLC pins, and advance the boundary. Both kernels
-// share it so the per-window sequence cannot diverge between them. It
-// reports whether a boundary was crossed.
-func (m *machine) windowRoll(now Cycles, windowEnd *Cycles, maxACT *uint32) bool {
+// has reached windowEnd: sample the window's bank activity, reset Row
+// Hammer accounting, drop LLC pins, and advance the boundary. Both
+// kernels share it so the per-window sequence cannot diverge between
+// them. It reports whether a boundary was crossed.
+func (m *machine) windowRoll(now Cycles, windowEnd *Cycles) bool {
 	if now < *windowEnd {
 		return false
 	}
-	if a, _, _ := m.mem.MaxWindowACT(); a > *maxACT {
-		*maxACT = a
-	}
+	m.sampleWindow()
 	m.ctrl.OnWindowEnd(now)
 	m.llc.UnpinAll()
 	*windowEnd += m.window
@@ -385,17 +412,16 @@ var errNoConverge = fmt.Errorf("sim: cycle budget exceeded")
 // runCycleStepped is the legacy kernel: now advances one cycle at a
 // time and every component is ticked at every cycle. Retained as the
 // differential-testing oracle for runEventDriven.
-func (m *machine) runCycleStepped(maxCycles Cycles) (Cycles, uint32, error) {
+func (m *machine) runCycleStepped(maxCycles Cycles) (Cycles, error) {
 	windowEnd := m.window
-	var maxACT uint32
 	var now Cycles
 	for {
-		if m.tick(now, &windowEnd, &maxACT) {
-			return now, maxACT, nil
+		if m.tick(now, &windowEnd) {
+			return now, nil
 		}
 		now++
 		if now > maxCycles {
-			return now, maxACT, errNoConverge
+			return now, errNoConverge
 		}
 	}
 }
@@ -411,9 +437,8 @@ func (m *machine) runCycleStepped(maxCycles Cycles) (Cycles, uint32, error) {
 // cpu.Core.NextWork). Deadlines move only inside Tick/OnWindowEnd, so
 // the kernel stays cycle-for-cycle identical to runCycleStepped (see
 // TestEventKernelMatchesCycleStepped).
-func (m *machine) runEventDriven(maxCycles Cycles) (Cycles, uint32, error) {
+func (m *machine) runEventDriven(maxCycles Cycles) (Cycles, error) {
 	windowEnd := m.window
-	var maxACT uint32
 	var now Cycles
 
 	// Cached per-component deadlines; zero means due immediately. A
@@ -442,13 +467,13 @@ func (m *machine) runEventDriven(maxCycles Cycles) (Cycles, uint32, error) {
 		}
 		// Inline guard: windowEnd is almost never due, and keeping the
 		// common case to one compare avoids a call per kernel iteration.
-		if now >= windowEnd && m.windowRoll(now, &windowEnd, &maxACT) {
+		if now >= windowEnd && m.windowRoll(now, &windowEnd) {
 			// OnWindowEnd may have scheduled mitigation work (SRS
 			// place-back pacing), so the cached deadline is stale.
 			ctrlNext = m.ctrl.NextWork(now)
 		}
 		if nDone == len(m.cores) {
-			return now, maxACT, nil
+			return now, nil
 		}
 		next := windowEnd
 		for _, t := range coreNext {
@@ -464,7 +489,7 @@ func (m *machine) runEventDriven(maxCycles Cycles) (Cycles, uint32, error) {
 		}
 		now = next
 		if now > maxCycles {
-			return now, maxACT, errNoConverge
+			return now, errNoConverge
 		}
 	}
 }

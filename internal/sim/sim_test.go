@@ -243,3 +243,40 @@ func TestOpenPageOptionImprovesRowLocality(t *testing.T) {
 			open.MeanIPC, closed.MeanIPC)
 	}
 }
+
+// TestWindowProfileCoversEveryActivation checks Result.Windows, the
+// profile Derive trusts: one entry per bank for every refresh window
+// the run crossed plus its final partial window, activation totals that
+// add up to every activation of the (closed-page, unprotected) run, and
+// hottest slots that agree with MaxWindowACT.
+func TestWindowProfileCoversEveryActivation(t *testing.T) {
+	sys := config.Default()
+	sys.Core.Cores = 4
+	opt := Options{Instructions: 120_000, WindowNS: 20_000}
+	res, err := Run(wl(t, "gups"), sys, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	banks := sys.Geometry.TotalBanks()
+	window := Cycles(opt.WindowNS * sys.Core.ClockGHz)
+	rolls := int(res.Cycles / window)
+	if rolls < 3 {
+		t.Fatalf("only %d window rolls; shorten the window", rolls)
+	}
+	if want := (rolls + 1) * banks; len(res.Windows) != want {
+		t.Fatalf("%d profile entries, want %d (%d banks x (%d rolls + the final window))",
+			len(res.Windows), want, banks, rolls)
+	}
+	var acts uint64
+	var hottest uint32
+	for _, bw := range res.Windows {
+		acts += uint64(bw.ACTs)
+		hottest = max(hottest, bw.MaxACT)
+	}
+	if want := res.Ctrl.Reads + res.Ctrl.Writes; acts != want {
+		t.Errorf("profile counts %d activations, the run issued %d", acts, want)
+	}
+	if hottest != res.MaxWindowACT {
+		t.Errorf("profile's hottest slot %d, MaxWindowACT %d", hottest, res.MaxWindowACT)
+	}
+}

@@ -51,27 +51,41 @@ func RunCached(c *Cache, w trace.Workload, sys config.System, opt sim.Options) (
 }
 
 // NormalizedPerf mirrors sim.NormalizedPerf with both the unprotected
-// baseline and the mitigated run served through the cache. When
-// parallel is true and both runs miss, they execute concurrently; the
-// two simulations share no state (each builds its own memory system
-// and RNG from the options), so the values are identical either way.
+// baseline and the mitigated run served through the cache. The
+// mitigated run is derived from the baseline when sim.Derive can prove
+// them identical, so the baseline comes first whenever it is cheap (a
+// cache hit) or parallel is false. Otherwise, when parallel is true, the
+// two simulate concurrently: they share no state (each builds its own
+// memory system and RNG from the options), so the values are identical
+// either way.
 func NormalizedPerf(c *Cache, w trace.Workload, sys config.System, opt sim.Options, parallel bool) (float64, *sim.Result, *sim.Result, error) {
-	base := sys
-	base.Mitigation = config.Mitigation{}
-	var rb *sim.Result
-	var errB error
-	done := make(chan struct{})
-	runBase := func() {
-		defer close(done)
+	base := baselineOf(sys)
+	var rb, rm *sim.Result
+	var errB, errM error
+	if c != nil {
+		var cached sim.Result
+		if hit, err := c.Get(RunKey(w, base, opt), &cached); err == nil && hit {
+			rb = &cached
+		}
+	}
+	if rb == nil && !parallel {
 		rb, _, errB = RunCached(c, w, base, opt)
 	}
-	if parallel {
-		go runBase()
-	} else {
-		runBase()
+	if rb != nil {
+		if d, ok := sim.Derive(rb, sys, opt); ok {
+			rm = d
+		} else {
+			rm, _, errM = RunCached(c, w, sys, opt)
+		}
+	} else if errB == nil {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			rb, _, errB = RunCached(c, w, base, opt)
+		}()
+		rm, _, errM = RunCached(c, w, sys, opt)
+		<-done
 	}
-	rm, _, errM := RunCached(c, w, sys, opt)
-	<-done
 	if errB != nil {
 		return 0, nil, nil, errB
 	}

@@ -43,11 +43,13 @@ func (c *Cache) RecordCost(key string, seconds float64) {
 	c.Costs().Record(key, seconds)
 }
 
-// RunCachedStore is RunCached generalized over any Store, with one
-// deliberate difference: a failed Put is an error, not best-effort.
-// The remote store IS the delivery channel of a networked sweep — a
-// worker whose push fails must stop rather than complete jobs whose
-// results nobody can ever pull.
+// RunCachedStore is RunCached generalized over any Store, with two
+// differences. A failed Put is an error, not best-effort: the remote
+// store IS the delivery channel of a networked sweep — a worker whose
+// push fails must stop rather than complete jobs whose results nobody
+// can ever pull. And a mitigated cell whose baseline entry is already
+// in the store is derived from it when sim.Derive can prove the two
+// runs identical; the baseline itself is never simulated for that.
 func RunCachedStore(s Store, w trace.Workload, sys config.System, opt sim.Options) (*sim.Result, bool, error) {
 	if s == nil {
 		res, err := sim.Run(w, sys, opt)
@@ -58,9 +60,12 @@ func RunCachedStore(s Store, w trace.Workload, sys config.System, opt sim.Option
 	if hit, err := s.Get(key, &cached); err == nil && hit {
 		return &cached, true, nil
 	}
-	res, err := sim.Run(w, sys, opt)
-	if err != nil {
-		return nil, false, err
+	res, ok := deriveFromStore(s, w, sys, opt)
+	if !ok {
+		var err error
+		if res, err = sim.Run(w, sys, opt); err != nil {
+			return nil, false, err
+		}
 	}
 	if err := s.Put(key, res); err != nil {
 		return nil, false, fmt.Errorf("simcache: store result for key %.12s…: %w", key, err)
@@ -70,6 +75,27 @@ func RunCachedStore(s Store, w trace.Workload, sys config.System, opt sim.Option
 	// normalized into reference-host seconds before it leaves.
 	s.RecordCost(CostKey(w, sys, opt), NormalizeCost(res.WallSeconds))
 	return res, false, nil
+}
+
+// deriveFromStore builds a mitigated cell's result from its baseline's
+// entry in s (sim.Derive), reporting false when the entry is absent or
+// does not prove the cell quiet. It reads the store only.
+func deriveFromStore(s Store, w trace.Workload, sys config.System, opt sim.Options) (*sim.Result, bool) {
+	if !sim.Derivable(sys.Mitigation) {
+		return nil, false
+	}
+	var rb sim.Result
+	if hit, err := s.Get(RunKey(w, baselineOf(sys), opt), &rb); err != nil || !hit {
+		return nil, false
+	}
+	return sim.Derive(&rb, sys, opt)
+}
+
+// baselineOf returns sys unprotected: the system a cell normalizes
+// against.
+func baselineOf(sys config.System) config.System {
+	sys.Mitigation = config.Mitigation{}
+	return sys
 }
 
 // DecodeEntry validates serialized entry bytes (one envelope, exactly
