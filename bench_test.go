@@ -174,6 +174,34 @@ func BenchmarkSecDDR5(b *testing.B) {
 	b.ReportMetric(days, "days-to-break-ddr5@3100r10")
 }
 
+// BenchmarkBestRoundsFig10 times the §III-C optimal-round search over
+// Figure 10's 15 RRS models (T_RH 4800/2400/1200 x swap rates 6-10),
+// the search every security-catalogue build and Fig. 10 render runs.
+func BenchmarkBestRoundsFig10(b *testing.B) {
+	var models []attack.Model
+	for _, trh := range []int{4800, 2400, 1200} {
+		for rate := 6; rate <= 10; rate++ {
+			models = append(models, attack.NewJuggernautRRS(trh, rate))
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, m := range models {
+			m.BestRounds()
+		}
+	}
+}
+
+// BenchmarkPlanSecurityAll times planning the whole security evaluation
+// (the security half of `rowswap-sweep plan -all`).
+func BenchmarkPlanSecurityAll(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := report.PlanSecurity(report.SecurityFigureIDs()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- Performance figures (reduced workload subset) ---
 
 // benchFigure times b.N runs of a performance figure. The process-wide

@@ -32,6 +32,11 @@ func main() {
 		fmt.Sprintf("Monte-Carlo trial multiplier: run N x %d trials (overrides -mc)", attack.DefaultTrials))
 	seed := flag.Uint64("seed", 42, "Monte-Carlo root seed")
 	flag.Parse()
+	if err := validate(*trh, *rate, *banks); err != nil {
+		fmt.Fprintf(os.Stderr, "rowswap-attack: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var m attack.Model
 	switch *defense {
@@ -85,6 +90,21 @@ func main() {
 				res.Iterations, fmtTime(res.MeanTimeNS), res.MeanEpochs, fmtTime(res.StdErrTimeNS))
 		}
 	}
+}
+
+// validate rejects parameters the attack model is undefined for: a swap
+// rate below 1, a threshold below the swap rate (T_S = T_RH / rate
+// would be 0) and fewer than one attacked bank.
+func validate(trh, rate, banks int) error {
+	switch {
+	case rate < 1:
+		return fmt.Errorf("-rate %d: the swap rate must be at least 1", rate)
+	case trh < rate:
+		return fmt.Errorf("-trh %d below -rate %d: the swap threshold T_S = T_RH/rate must be at least 1", trh, rate)
+	case banks < 1:
+		return fmt.Errorf("-banks %d: at least one bank must be attacked", banks)
+	}
+	return nil
 }
 
 func fmtTime(ns float64) string {

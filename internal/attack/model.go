@@ -34,6 +34,7 @@ package attack
 
 import (
 	"math"
+	"sort"
 
 	"repro/internal/config"
 	"repro/internal/stats"
@@ -247,10 +248,19 @@ func (m Model) TimeToBreakDays(rounds int) float64 {
 	return m.TimeToBreakNS(rounds) / config.Day
 }
 
-// BestRounds scans N (0 .. max feasible) and returns the round count
-// minimizing time-to-break, together with that time in ns. This is the
-// "determining the attack rounds" optimization of §III-C: pick N to
-// minimize k while keeping G as large as possible.
+// BestRounds returns the round count N minimizing time-to-break,
+// together with that time in ns. This is the "determining the attack
+// rounds" optimization of §III-C: pick N to minimize k while keeping G
+// as large as possible.
+//
+// k (RequiredGuesses) is non-increasing in N and falls in steps, while
+// G (Guesses) only shrinks as N grows. Within a plateau of constant k
+// the per-window success probability therefore never rises, so the
+// time-to-break never falls, and the optimum is always the first N of
+// some plateau. BestRounds evaluates TimeToBreakNS only at plateau
+// starts, found by binary search over the cheap RequiredGuesses, and
+// keeps the strict comparison so ties go to the smallest N: the result
+// is the exhaustive scan's over 0..max feasible N, bit for bit.
 func (m Model) BestRounds() (rounds int, timeNS float64) {
 	if m.Untargeted || m.Defense == DefenseSRS {
 		// Rounds cannot help: no latent accumulation to exploit.
@@ -258,13 +268,14 @@ func (m Model) BestRounds() (rounds int, timeNS float64) {
 	}
 	best, bestN := math.Inf(1), 0
 	maxN := int(m.TActual() / (float64(m.TS()-1)*m.actPeriod() + m.TReswapNS()))
-	// k changes only every ~T_S/L rounds; scanning every N is cheap
-	// enough at paper scales and exact.
-	for n := 0; n <= maxN; n++ {
-		t := m.TimeToBreakNS(n)
-		if t < best {
+	for n := 0; n <= maxN; {
+		if t := m.TimeToBreakNS(n); t < best {
 			best, bestN = t, n
 		}
+		// Next plateau start: the first N' > n with a smaller k (none
+		// once k is 0: every later N then ties at one window).
+		k := m.RequiredGuesses(n)
+		n += 1 + sort.Search(maxN-n, func(i int) bool { return m.RequiredGuesses(n+1+i) < k })
 	}
 	return bestN, best
 }

@@ -1,10 +1,12 @@
 package attack_test
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
 	"repro/internal/attack"
+	"repro/internal/config"
 	"repro/internal/report"
 )
 
@@ -38,4 +40,41 @@ func TestRunBatchMatchesPerWindowOverPlanSecurity(t *testing.T) {
 		t.Fatal("no direct-regime cell in the security plan; the comparison covers nothing")
 	}
 	t.Logf("%d cells, %d direct-regime", len(plan.Cells), direct)
+}
+
+// TestBestRoundsMatchesScanOverPaperModels requires BestRounds to
+// return the exhaustive scan's round count and time bits on every model
+// the paper's outputs optimise: each cell of the whole security plan
+// (the catalogue's Fig. 6 and Fig. 10 cells, which are also the models
+// fig10Render optimises), fig6Render's "best" lines, Discussion's
+// secondary analyses and the root benchmarks' models.
+func TestBestRoundsMatchesScanOverPaperModels(t *testing.T) {
+	plan, err := report.PlanSecurity(report.SecurityFigureIDs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var models []attack.Model
+	for _, c := range plan.Cells {
+		models = append(models, c.Spec.Model)
+	}
+	for _, trh := range []int{4800, 2400, 1200} { // fig6Render
+		models = append(models, attack.NewJuggernautRRS(trh, 6))
+	}
+	single := attack.NewJuggernautRRS(4800, 6) // Discussion and bench_test.go
+	multi, open := single, single
+	multi.Banks = 16
+	open.ACTPeriodNS = 60
+	lowOpen := attack.NewJuggernautRRS(3300, 10)
+	lowOpen.ACTPeriodNS = 60
+	d5 := attack.NewJuggernautRRS(3100, 10)
+	d5.Timing = config.DDR5()
+	models = append(models, single, multi, open, lowOpen, d5, attack.NewJuggernautSRS(4800, 6))
+	for _, m := range models {
+		n, tt := m.BestRounds()
+		wn, wt := attack.BestRoundsScan(m)
+		if n != wn || math.Float64bits(tt) != math.Float64bits(wt) {
+			t.Errorf("%+v: BestRounds = (%d, %v), exhaustive scan = (%d, %v)", m, n, tt, wn, wt)
+		}
+	}
+	t.Logf("%d models", len(models))
 }

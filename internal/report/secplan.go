@@ -79,7 +79,11 @@ func fig10Cells() []SecurityCell {
 }
 
 // securityFigures returns the full security-evaluation catalogue in
-// paper order. Built fresh per call: SecurityFigure holds closures.
+// paper order. Built fresh per call and deliberately not cached: every
+// caller gets Cells slices of its own, so one that modifies a figure's
+// cells cannot change what later lookups and plans see (a cache would
+// share them), and with BestRounds' plateau search a build costs about
+// a quarter of a millisecond.
 func securityFigures() []SecurityFigure {
 	closed := func(render func(w io.Writer)) func(io.Writer, []attack.MonteCarloResult) {
 		return func(w io.Writer, _ []attack.MonteCarloResult) { render(w) }

@@ -103,6 +103,37 @@ func TestPlanSecurityDedupAndDeterminism(t *testing.T) {
 	}
 }
 
+// TestSecurityFigureCellsNotShared pins the catalogue's no-aliasing
+// contract: a caller that overwrites a returned figure's cell must not
+// change what the next lookup or plan sees. A catalogue cache that
+// handed out shared Cells slices would fail here.
+func TestSecurityFigureCellsNotShared(t *testing.T) {
+	f, _ := SecurityFigureByID("10")
+	want := f.Cells[0]
+	plan, err := PlanSecurity([]string{"10"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPlan := append([]SecurityCell(nil), plan.Cells...)
+
+	f.Cells[0] = SecurityCell{Label: "clobbered",
+		Spec: attack.TrialSpec{Model: attack.NewJuggernautRRS(1, 1), Rounds: -1}}
+
+	if again, _ := SecurityFigureByID("10"); again.Cells[0] != want {
+		t.Errorf("lookup after overwrite: cell 0 = %+v, want %+v", again.Cells[0], want)
+	}
+	plan2, err := PlanSecurity([]string{"10"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plan2.Cells, wantPlan) {
+		t.Error("PlanSecurity after overwriting a looked-up figure's cell changed its cells")
+	}
+	if plan2.Figures[0].Figure.Cells[0] != want {
+		t.Errorf("planned figure cell 0 = %+v, want %+v", plan2.Figures[0].Figure.Cells[0], want)
+	}
+}
+
 func TestSecurityCellSeedDerivation(t *testing.T) {
 	seen := map[uint64]bool{}
 	for ci := 0; ci < 64; ci++ {
