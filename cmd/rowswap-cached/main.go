@@ -2,8 +2,9 @@
 // daemon: an HTTP content-addressed object store plus a work-stealing
 // job queue over an evaluation manifest. Workers (rowswap-sweep work
 // or run-shard -server) push each result the moment it is simulated
-// and claim their next job from the queue; the merge stage
-// (rowswap-sweep merge -server) pulls the complete result set — so a
+// and claim their next job from the queue; the daemon folds every
+// completion into per-manifest figure state, and the merge stage
+// (rowswap-sweep merge -server) renders from that snapshot — so a
 // multi-machine run of the paper's evaluation needs no copied cache
 // directories at all.
 //
@@ -11,7 +12,7 @@
 //	rowswap-cached -manifest manifest.json -store-dir store     # coordinator (keep running)
 //	rowswap-sweep  work -server http://COORD:8344 -name w0      # each worker machine
 //	rowswap-sweep  merge -server http://COORD:8344 \
-//	               -manifest manifest.json -merged-dir merged   # coordinator
+//	               -manifest manifest.json                      # coordinator
 //
 // The daemon is a long-lived, multi-tenant evaluation service:
 // -manifest is optional, and any number of manifests can be registered

@@ -35,7 +35,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -218,11 +217,11 @@ func runFollow(serverURL, manifestPath string) error {
 		if err != nil {
 			return err
 		}
-		var p sweep.Partial
-		if err := json.Unmarshal(data, &p); err != nil {
-			return fmt.Errorf("decoding partial figures: %w", err)
+		p, err := sweep.DecodePartial(data)
+		if err != nil {
+			return err
 		}
-		if err := renderPartial(os.Stderr, &p); err != nil {
+		if err := renderPartial(os.Stderr, p); err != nil {
 			return err
 		}
 		rendered = true

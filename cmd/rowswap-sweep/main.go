@@ -15,7 +15,7 @@
 //
 //	rowswap-cached -manifest manifest.json -store-dir store                  # coordinator
 //	rowswap-sweep work  -server http://COORD:8344 -name w0                   # each worker
-//	rowswap-sweep merge -server http://COORD:8344 -manifest manifest.json -merged-dir merged
+//	rowswap-sweep merge -server http://COORD:8344 -manifest manifest.json
 //
 // plan expands one figure (-fig 14), several (-fig 4,14), or the whole
 // paper (-all: every performance AND security figure) into one
@@ -32,8 +32,12 @@
 // seeded trials, in any completion order — folds the merged entries
 // into a packed shard index, renders every covered figure, and writes
 // a results file that rowswap-figures -manifest can re-render without
-// simulating. All stages must run the same build of this binary — the
-// manifest records the binary fingerprint and every stage verifies it.
+// simulating. merge -server skips the re-fold: the daemon has already
+// folded every completed job, so one GET of its figure snapshot is the
+// result set (no local cache is written, no measured costs imported),
+// checked for full coverage and against this build's plan. All stages
+// must run the same build of this binary — the manifest records the
+// binary fingerprint and every stage verifies it.
 //
 // See README.md for a whole-evaluation two-worker walkthrough.
 package main
@@ -59,14 +63,15 @@ func usage() {
   rowswap-sweep plan      -all | -fig ID[,ID...] [-shards N] [-strategy round-robin|cost] [-cost-dir DIR] [-quick] [-workloads a,b] [-cores N] [-instructions N] [-window NS] -out manifest.json
   rowswap-sweep run-shard -manifest manifest.json -shard I (-cache-dir DIR | -server URL) [-workers N] [-progress]
   rowswap-sweep work      -server URL [-manifest manifest.json] [-name NAME] [-workers N] [-progress]
-  rowswap-sweep merge     -manifest manifest.json (-dirs DIR0,DIR1,... | -server URL) -merged-dir DIR [-out results.json] [-no-pack] [-progress]
+  rowswap-sweep merge     -manifest manifest.json -dirs DIR0,DIR1,... -merged-dir DIR [-out results.json] [-no-pack] [-progress]
+  rowswap-sweep merge     -manifest manifest.json -server URL [-out results.json] [-progress]
 
 run-shard executes a plan-time shard; work registers its manifest with
 a rowswap-cached daemon (idempotent — the daemon keys each evaluation
 by manifest fingerprint) and claims jobs from that manifest's
 work-stealing queue until the evaluation is done. With -server,
-results are pushed to / pulled from the daemon and no cache
-directories change hands.
+results are pushed to the daemon, merge reads the daemon's folded
+figure snapshot, and no cache directories change hands.
 `)
 	os.Exit(2)
 }
@@ -191,7 +196,7 @@ func runShard(args []string) error {
 	if (*cacheDir == "") == (*server == "") {
 		return fmt.Errorf("exactly one of -cache-dir (filesystem interchange) or -server (rowswap-cached transport) is required")
 	}
-	m, err := sweep.LoadManifest(*manifest)
+	m, raw, err := sweep.LoadManifestRaw(*manifest)
 	if err != nil {
 		return err
 	}
@@ -200,7 +205,14 @@ func runShard(args []string) error {
 		prog = os.Stderr
 	}
 	if *server != "" {
-		stats, err := m.RunShardServer(*shard, objstore.NewClient(*server), *workers, progIfSet(prog))
+		// Registering (idempotent, as work does) gives the shard's jobs a
+		// queue to complete in, so the daemon folds them as they land.
+		client := objstore.NewClient(*server)
+		reg, err := client.Register(raw)
+		if err != nil {
+			return fmt.Errorf("registering manifest with %s: %w", client.Base(), err)
+		}
+		stats, err := m.RunShardServer(*shard, client.ForManifest(reg.Fingerprint), *workers, progIfSet(prog))
 		if err != nil {
 			return err
 		}
@@ -280,20 +292,26 @@ func runMerge(args []string) error {
 	fs := flag.NewFlagSet("merge", flag.ExitOnError)
 	manifest := fs.String("manifest", "", "manifest written by plan")
 	dirs := fs.String("dirs", "", "comma-separated worker cache directories")
-	server := fs.String("server", "", "rowswap-cached URL to pull the result set from instead of worker directories")
-	mergedDir := fs.String("merged-dir", "", "directory the merged cache is built in")
+	server := fs.String("server", "", "rowswap-cached URL whose folded figure snapshot is the result set, instead of worker directories")
+	mergedDir := fs.String("merged-dir", "", "with -dirs: directory the merged cache is built in")
 	out := fs.String("out", "", "results file for rowswap-figures -manifest (optional)")
-	noPack := fs.Bool("no-pack", false, "keep merged entries as loose files instead of a packed shard index")
-	progress := fs.Bool("progress", false, "print import/pull progress")
+	noPack := fs.Bool("no-pack", false, "with -dirs: keep merged entries as loose files instead of a packed shard index")
+	progress := fs.Bool("progress", false, "print merge progress")
 	fs.Parse(args)
 
-	if *manifest == "" || *mergedDir == "" {
-		return fmt.Errorf("missing -manifest or -merged-dir")
+	if *manifest == "" {
+		return fmt.Errorf("missing -manifest")
 	}
 	if (*dirs == "") == (*server == "") {
 		return fmt.Errorf("exactly one of -dirs (filesystem interchange) or -server (rowswap-cached transport) is required")
 	}
-	m, err := sweep.LoadManifest(*manifest)
+	if *dirs != "" && *mergedDir == "" {
+		return fmt.Errorf("-dirs needs -merged-dir, the directory the worker caches are merged into")
+	}
+	if *server != "" && (*mergedDir != "" || *noPack) {
+		return fmt.Errorf("-merged-dir and -no-pack apply only to -dirs: a -server merge reads the daemon's folded snapshot and writes no local cache")
+	}
+	m, raw, err := sweep.LoadManifestRaw(*manifest)
 	if err != nil {
 		return err
 	}
@@ -303,7 +321,12 @@ func runMerge(args []string) error {
 	}
 	var res *sweep.Results
 	if *server != "" {
-		res, err = m.MergeServer(*mergedDir, objstore.NewClient(*server), !*noPack, progIfSet(prog))
+		// The snapshot lives in the manifest's namespace on the daemon,
+		// keyed by the same fingerprint registration derives.
+		var fp string
+		if fp, err = objstore.ManifestFingerprint(raw); err == nil {
+			res, err = m.MergeServer("", objstore.NewClient(*server).ForManifest(fp), false, progIfSet(prog))
+		}
 	} else {
 		res, err = m.Merge(*mergedDir, strings.Split(*dirs, ","), !*noPack, progIfSet(prog))
 	}

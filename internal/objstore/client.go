@@ -240,12 +240,6 @@ func (c *Client) RecordCost(key string, seconds float64) {
 	c.do(http.MethodPost, "/v1/costs", line)
 }
 
-// CostsJSONL pulls the server's measured-cost estimates in sidecar
-// line format (simcache.CostIndex.ImportRecords consumes it).
-func (c *Client) CostsJSONL() ([]byte, error) {
-	return c.do(http.MethodGet, "/v1/costs", nil)
-}
-
 // ManifestJSON fetches the manifest behind the client's namespace (the
 // daemon's default manifest for an unbound client), so a worker
 // machine needs only the binary and the server URL.

@@ -296,3 +296,93 @@ func TestServerEventsSeedFromWarmStore(t *testing.T) {
 		t.Fatalf("warm-store feed = %+v, want the recovered key", evs)
 	}
 }
+
+// TestServerLeaseLessCompletionAndIdleRecovery covers results pushed
+// outside the claim protocol, as run-shard -server pushes them. A
+// lease-less completion needs the stored entry and is not counted
+// stale. A figures request on an idle queue (nothing leased) folds
+// pending jobs whose entries were pushed with no completion at all,
+// while a queue with a live lease is left to its completions.
+func TestServerLeaseLessCompletionAndIdleRecovery(t *testing.T) {
+	newServer := func(jobs []QueueJob) (*Client, *fakeFolder) {
+		folder := &fakeFolder{known: map[string]bool{}, folded: map[string]int{}}
+		for _, j := range jobs {
+			folder.known[j.Key] = true
+		}
+		_, c, _ := newTestServer(t, ServerOptions{
+			Jobs: jobs, Lease: time.Minute,
+			Manifest:  []byte(`{"jobs":[]}`),
+			NewFolder: func([]byte) (FigureFolder, error) { return folder, nil },
+		})
+		return c, folder
+	}
+	folded := func(c *Client) int {
+		t.Helper()
+		data, err := c.FiguresJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap map[string]int
+		if err := json.Unmarshal(data, &snap); err != nil {
+			t.Fatal(err)
+		}
+		return snap["folded"]
+	}
+
+	jobs := testJobs(3)
+	c, _ := newServer(jobs)
+	if err := c.Complete(0, "", "shard-0"); err == nil {
+		t.Fatal("lease-less completion accepted with no stored entry")
+	}
+	if err := c.Put(jobs[0].Key, map[string]int{"v": 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Complete(0, "", "shard-0"); err != nil {
+		t.Fatalf("lease-less completion of a stored job: %v", err)
+	}
+	if evs, err := c.Events(0, 0); err != nil || len(evs) != 1 || evs[0].Key != jobs[0].Key {
+		t.Fatalf("events after a lease-less completion: %+v, %v", evs, err)
+	}
+	// Jobs 1 and 2 are pushed by a shard worker that dies before
+	// completing them.
+	for _, j := range jobs[1:] {
+		if err := c.Put(j.Key, map[string]int{"v": 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := folded(c); n != 3 {
+		t.Errorf("idle queue: snapshot folded %d jobs, want 3", n)
+	}
+	st, err := c.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Done != 3 || st.Recovered != 2 || st.StaleCompletions != 0 || st.Complete["shard-0"] != 1 {
+		t.Errorf("status: done=%d recovered=%d stale=%d completed=%v, want 3/2/0/shard-0:1",
+			st.Done, st.Recovered, st.StaleCompletions, st.Complete)
+	}
+
+	// With a live lease, a pending job's stored entry waits for its
+	// completion (or for the queue to go idle).
+	jobs = testJobs(2)
+	c, _ = newServer(jobs)
+	resp, err := c.ClaimJob("w0")
+	if err != nil || resp.Status != ClaimJob || resp.Claim.Job != 0 {
+		t.Fatalf("claim: %+v, %v", resp, err)
+	}
+	if err := c.Put(jobs[1].Key, map[string]int{"v": 1}); err != nil {
+		t.Fatal(err)
+	}
+	if n := folded(c); n != 0 {
+		t.Errorf("leased queue: snapshot folded %d jobs, want 0", n)
+	}
+	if err := c.Put(jobs[0].Key, map[string]int{"v": 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Complete(0, resp.Claim.Lease, "w0"); err != nil {
+		t.Fatal(err)
+	}
+	if n := folded(c); n != 2 {
+		t.Errorf("queue idle again: snapshot folded %d jobs, want 2", n)
+	}
+}

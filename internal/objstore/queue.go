@@ -148,8 +148,9 @@ func (q *Queue) worker(name string) *workerInfo {
 // path of a persistent daemon: lease and done bookkeeping live only in
 // memory, but results are content-addressed files, so a queue rebuilt
 // over a warm store re-derives done-ness instead of re-running the
-// whole sweep. The count is exposed as QueueStats.Recovered so a
-// restarted daemon can prove it resumed rather than forgot.
+// whole sweep (the figures endpoint reruns it on an idle queue). The
+// count is exposed as QueueStats.Recovered so a restarted daemon can
+// prove it resumed rather than forgot.
 func (q *Queue) RecoverStored(stored func(key string) bool) int {
 	if stored == nil {
 		return 0
@@ -304,7 +305,9 @@ func (q *Queue) Heartbeat(job int, lease, worker string) error {
 // each one is a lease that outlived its bookkeeping, which is
 // operationally interesting (lease too short for the fleet, or a
 // daemon restart mid-sweep) even though the result is sound.
-// Completing an already-done job is a no-op.
+// Completing an already-done job is a no-op. An empty lease is a
+// lease-less completion (run-shard -server pushes without claiming),
+// accepted on the same proof and not counted stale.
 func (q *Queue) Complete(job int, lease, worker string, stored func(key string) bool) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -321,7 +324,9 @@ func (q *Queue) Complete(job int, lease, worker string, stored func(key string) 
 	}
 	if stored != nil && stored(q.jobs[job].Key) {
 		q.markDoneLocked(job)
-		q.stale++
+		if lease != "" {
+			q.stale++
+		}
 		q.worker(worker).completed++
 		return nil
 	}
@@ -349,11 +354,13 @@ type QueueStats struct {
 	Leased   int `json:"leased"`
 	Done     int `json:"done"`
 	Requeues int `json:"requeues"`
-	// Recovered counts jobs marked done from the store's existing
-	// entries at registration time (daemon restart over a warm store).
+	// Recovered counts pending jobs marked done from the store's
+	// existing entries, at registration (daemon restart over a warm
+	// store) or by a figures request on an idle queue.
 	Recovered int `json:"recovered"`
 	// StaleCompletions counts completions accepted on the
-	// stored-result proof rather than a live lease.
+	// stored-result proof rather than a live lease. Lease-less
+	// completions (run-shard -server) are not counted.
 	StaleCompletions int `json:"stale_completions"`
 	// StoreReconciled counts leased jobs the sweep marked done because
 	// their result entry already existed in the store — completions

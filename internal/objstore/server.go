@@ -3,11 +3,11 @@
 // internal/simcache's SHA-256 scheme, plus work-stealing job queues
 // over evaluation manifests. It replaces the filesystem as the
 // interchange surface of a distributed sweep — workers push each
-// result entry the moment it is simulated and the merge stage pulls
-// them back, so a multi-machine run of the paper's evaluation (§VI)
-// needs no copied cache directories — and replaces plan-time sharding
-// with claim-as-you-go scheduling that absorbs stragglers and
-// heterogeneous machines.
+// result entry the moment it is simulated and the daemon folds them
+// into figure snapshots the merge stage reads, so a multi-machine run
+// of the paper's evaluation (§VI) needs no copied cache directories —
+// and replaces plan-time sharding with claim-as-you-go scheduling that
+// absorbs stragglers and heterogeneous machines.
 //
 // The server (cmd/rowswap-cached) is a long-lived, multi-tenant
 // evaluation service: any number of manifests can be registered
@@ -216,7 +216,6 @@ func NewServer(cache *simcache.Cache, opt ServerOptions) *Server {
 	s.mux.HandleFunc("GET /v1/manifest", s.handleManifest)
 	s.mux.HandleFunc("GET /v1/entry/{key}", s.handleGetEntry)
 	s.mux.HandleFunc("PUT /v1/entry/{key}", s.handlePutEntry)
-	s.mux.HandleFunc("GET /v1/costs", s.handleGetCosts)
 	s.mux.HandleFunc("POST /v1/costs", s.handlePostCosts)
 	s.mux.HandleFunc("POST /v1/register", s.handleRegister)
 	s.mux.HandleFunc("GET /v1/service", s.handleService)
@@ -493,11 +492,6 @@ func (s *Server) handlePutEntry(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]bool{"ok": true})
 }
 
-func (s *Server) handleGetCosts(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/jsonl")
-	w.Write(s.cache.Costs().Export())
-}
-
 // costLine mirrors the sidecar's line format ({key, seconds}).
 type costLine struct {
 	Key     string  `json:"key"`
@@ -743,7 +737,13 @@ func (s *Server) handleFigures(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no partial figures for this manifest: the daemon has no figure folder for it (started without one, or the manifest is not a sweep manifest this daemon understands)")
 		return
 	}
-	tn.queue.Stats() // reconcile so the snapshot reflects stored reality
+	// Reconcile so the snapshot reflects stored reality: Stats marks
+	// stored leased jobs done, and an idle queue (nothing leased) also
+	// recovers stored pending jobs, pushed without a completion by a
+	// run-shard -server worker that died before completing them.
+	if st := tn.queue.Stats(); st.Leased == 0 && st.Pending > 0 {
+		tn.queue.RecoverStored(s.cache.Has)
+	}
 	tn.foldMu.Lock()
 	for _, ev := range tn.events.since(tn.foldCursor) {
 		if _, err := tn.folder.FoldKey(ev.Key, s.cache); err != nil {

@@ -1,7 +1,6 @@
 package objstore
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -33,7 +32,7 @@ func newTestServer(t *testing.T, opt ServerOptions) (*Server, *Client, *simcache
 }
 
 // TestServerEntryRoundTrip proves the push/pull path preserves entries
-// bit-identically: what a worker pushes is what the merge stage pulls,
+// bit-identically: what a worker pushes is what a reader pulls,
 // checksums and all.
 func TestServerEntryRoundTrip(t *testing.T) {
 	_, c, cache := newTestServer(t, ServerOptions{})
@@ -105,8 +104,7 @@ func TestServerRejectsCorruptUpload(t *testing.T) {
 }
 
 // TestServerCostsEWMAAcrossWorkers: repeated observations from
-// different pushers fold into one EWMA estimate, and the export is in
-// sidecar format an index can import.
+// different pushers fold into one EWMA estimate.
 func TestServerCostsEWMAAcrossWorkers(t *testing.T) {
 	_, c, cache := newTestServer(t, ServerOptions{})
 	key := testKey(7)
@@ -120,19 +118,6 @@ func TestServerCostsEWMAAcrossWorkers(t *testing.T) {
 	c.RecordCost(key, 8.0) // one straggler machine
 	if s, _ = cache.Costs().Seconds(key); s <= 2.0 || s >= 8.0 {
 		t.Fatalf("outlier folded to %g, want strictly between 2 and 8", s)
-	}
-
-	data, err := c.CostsJSONL()
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged := simcache.OpenCostIndex(t.TempDir())
-	if n := merged.ImportRecords(bytes.NewReader(data)); n != 1 {
-		t.Fatalf("imported %d cost keys from the export, want 1", n)
-	}
-	got, _ := merged.Seconds(key)
-	if got != s {
-		t.Errorf("imported estimate %g != server estimate %g", got, s)
 	}
 }
 

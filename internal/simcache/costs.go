@@ -201,20 +201,6 @@ func (x *CostIndex) appendLocked(lines []byte) {
 	f.Close()
 }
 
-// Export returns the index's current estimates, one JSON line per key
-// in sorted-key order — the sidecar file format, so the dump can be
-// fed straight to ImportRecords on another machine. The object-store
-// daemon serves it to the merge stage.
-func (x *CostIndex) Export() []byte {
-	if x == nil {
-		return nil
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.ensureLoaded()
-	return x.exportLocked()
-}
-
 // exportLocked serializes the in-memory estimates in sidecar format,
 // one line per key in sorted order. Callers must hold x.mu.
 func (x *CostIndex) exportLocked() []byte {
@@ -275,14 +261,13 @@ func (x *CostIndex) ImportFrom(dir string) int {
 		return 0
 	}
 	defer f.Close()
-	return x.ImportRecords(f)
+	return x.importRecords(f)
 }
 
-// ImportRecords merges sidecar-format cost lines from r — a worker's
-// costs.jsonl, or a daemon's Export dump — into this index under the
-// same keep-existing-keys rule as ImportFrom, returning how many new
-// keys were merged.
-func (x *CostIndex) ImportRecords(r io.Reader) int {
+// importRecords merges sidecar-format cost lines from r (a worker's
+// costs.jsonl) into this index under ImportFrom's keep-existing-keys
+// rule, returning how many new keys were merged.
+func (x *CostIndex) importRecords(r io.Reader) int {
 	if x == nil {
 		return 0
 	}

@@ -3,6 +3,7 @@ package sweep
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/attack"
@@ -284,6 +285,62 @@ func (a *Accumulator) Snapshot() (*Results, Coverage, error) {
 	return out, cov, nil
 }
 
+// checkSnapshot verifies complete snapshot Results against the layout
+// Snapshot builds from this plan: performance figures in manifest
+// order with the manifest's labels and one row per planned workload
+// carrying exactly the plan's config labels, then security figures in
+// order with one labelled row per cell. A daemon that folded under a
+// different reading of the manifest fails here, naming the figure,
+// instead of rendering rows into the wrong table.
+func (p plan) checkSnapshot(res *Results) error {
+	for i := 0; i < max(len(res.Figures), len(p.eval.Figures)); i++ {
+		if i >= len(p.eval.Figures) {
+			return fmt.Errorf("sweep: snapshot has figure %s, which the plan lacks", res.Figures[i].Fig)
+		}
+		fp := p.eval.Figures[i]
+		if i >= len(res.Figures) || res.Figures[i].Fig != fp.Figure.ID {
+			return fmt.Errorf("sweep: snapshot lacks figure %s at position %d", fp.Figure.ID, i)
+		}
+		got := res.Figures[i]
+		if !slices.Equal(got.Labels, fp.Figure.Labels) {
+			return fmt.Errorf("sweep: snapshot figure %s has labels %q, the plan %q", got.Fig, got.Labels, fp.Figure.Labels)
+		}
+		if len(got.Rows) != len(fp.Plan.Workloads) {
+			return fmt.Errorf("sweep: snapshot figure %s has %d rows, the plan %d workloads", got.Fig, len(got.Rows), len(fp.Plan.Workloads))
+		}
+		for r, w := range fp.Plan.Workloads {
+			row, n := got.Rows[r], 0
+			for _, l := range fp.Plan.Labels {
+				if _, ok := row.Norm[l]; ok {
+					n++
+				}
+			}
+			if row.Workload != w.Name || n != len(row.Norm) || n != len(fp.Plan.Labels) {
+				return fmt.Errorf("sweep: snapshot figure %s row %d is %s over %d values, the plan has %s over %q", got.Fig, r, row.Workload, len(row.Norm), w.Name, fp.Plan.Labels)
+			}
+		}
+	}
+	for i := 0; i < max(len(res.Security), len(p.sec.Figures)); i++ {
+		if i >= len(p.sec.Figures) {
+			return fmt.Errorf("sweep: snapshot has security figure %s, which the plan lacks", res.Security[i].Fig)
+		}
+		fp := p.sec.Figures[i]
+		if i >= len(res.Security) || res.Security[i].Fig != fp.Figure.ID {
+			return fmt.Errorf("sweep: snapshot lacks security figure %s at position %d", fp.Figure.ID, i)
+		}
+		got := res.Security[i]
+		if len(got.Rows) != len(fp.Figure.Cells) {
+			return fmt.Errorf("sweep: snapshot security figure %s has %d rows, the plan %d cells", got.Fig, len(got.Rows), len(fp.Figure.Cells))
+		}
+		for r, c := range fp.Figure.Cells {
+			if got.Rows[r].Label != c.Label {
+				return fmt.Errorf("sweep: snapshot security figure %s row %d is %q, the plan has cell %q", got.Fig, r, got.Rows[r].Label, c.Label)
+			}
+		}
+	}
+	return nil
+}
+
 // Partial is the wire shape of a partial-figures snapshot: the rows
 // renderable so far plus the coverage that qualifies them. The daemon
 // serves it on GET /m/{fp}/figures; rowswap-figures -follow consumes
@@ -291,6 +348,38 @@ func (a *Accumulator) Snapshot() (*Results, Coverage, error) {
 type Partial struct {
 	Results  *Results `json:"results"`
 	Coverage Coverage `json:"coverage"`
+}
+
+// DecodePartial decodes a figure snapshot as the daemon serves it (GET
+// /m/{fp}/figures) and rejects one no consumer can trust: results of a
+// schema other than ManifestSchema, coverage that counts more jobs or
+// cells done than exist, or full coverage without results. Both
+// consumers — MergeServer and rowswap-figures -follow — decode through
+// it, so a bad snapshot fails loudly instead of rendering nothing.
+func DecodePartial(data []byte) (*Partial, error) {
+	var p Partial
+	if err := json.Unmarshal(data, &p); err != nil {
+		return nil, fmt.Errorf("sweep: figure snapshot does not decode: %w", err)
+	}
+	cov := p.Coverage
+	if cov.Done < 0 || cov.Done > cov.Jobs {
+		return nil, fmt.Errorf("sweep: figure snapshot reports %d of %d jobs done", cov.Done, cov.Jobs)
+	}
+	for _, fc := range cov.Figures {
+		if fc.Covered < 0 || fc.Covered > fc.Cells {
+			return nil, fmt.Errorf("sweep: figure snapshot reports figure %s covering %d of %d cells", fc.Fig, fc.Covered, fc.Cells)
+		}
+	}
+	if p.Results == nil {
+		if cov.Complete() {
+			return nil, fmt.Errorf("sweep: figure snapshot reports all %d jobs done but carries no results", cov.Jobs)
+		}
+		return &p, nil
+	}
+	if p.Results.Schema != ManifestSchema {
+		return nil, fmt.Errorf("sweep: figure snapshot results have schema %d, this build expects %d", p.Results.Schema, ManifestSchema)
+	}
+	return &p, nil
 }
 
 // PartialJSON marshals the current snapshot as a Partial — the

@@ -1,9 +1,7 @@
 package sweep
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
@@ -21,7 +19,8 @@ import (
 // rowswap-cached daemon to two real worker processes over the
 // work-stealing queue — the first SIGKILLed while it provably holds a
 // Monte-Carlo batch lease. The survivor inherits the orphaned batch
-// after lease expiry, and the `merge -server` pull must reproduce:
+// after lease expiry, and the `merge -server` snapshot (equal to a
+// re-fold of the daemon's store) must reproduce:
 //
 //   - Fig. 14's PerfRows bit-identical to a single-process report run,
 //   - Fig. 6's fifteen Monte-Carlo rows bit-identical to a seeded
@@ -98,8 +97,7 @@ func TestServerSweepMonteCarloMixedManifest(t *testing.T) {
 	}
 
 	results := filepath.Join(dir, "results.json")
-	mergeOut := run("merge", "-server", url, "-manifest", manifest,
-		"-merged-dir", filepath.Join(dir, "merged"), "-out", results)
+	mergeOut := mergeAgainstRefold(t, sweepBin, dir, url, manifest, filepath.Join(dir, "store"), results)
 	if !strings.Contains(mergeOut, "MC@4800") {
 		t.Errorf("merge render lacks the Fig. 6 Monte-Carlo column:\n%s", mergeOut)
 	}
@@ -176,15 +174,7 @@ func TestServerSweepMonteCarloMixedManifest(t *testing.T) {
 // security figure's Monte-Carlo rows.
 func loadSecurityRows(t *testing.T, path, fig string) []MonteCarloRow {
 	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res Results
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatal(err)
-	}
-	rows, ok := res.SecurityRows(fig)
+	rows, ok := loadResults(t, path).SecurityRows(fig)
 	if !ok {
 		t.Fatalf("merged results carry no security figure %s", fig)
 	}

@@ -178,6 +178,52 @@ func killWorkerUntilRequeued(t *testing.T, sweepBin, dir, url, manifest string, 
 	}
 }
 
+// runSweepStdout runs one rowswap-sweep command and returns its stdout
+// alone (stderr carries progress and the results-file note).
+func runSweepStdout(t *testing.T, bin, dir string, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	cmd.Dir = dir
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("rowswap-sweep %v: %v\n%s", args, err, stderr.String())
+	}
+	return string(out)
+}
+
+// mergeAgainstRefold runs `merge -server`, which renders from the
+// daemon's folded snapshot, and the independent oracle: `merge -dirs`
+// re-folding every entry of the daemon's own store directory. The two
+// results files must decode DeepEqual and the two renders must be
+// byte-identical. It writes the server merge's results to results and
+// returns its render.
+func mergeAgainstRefold(t *testing.T, bin, dir, url, manifest, store, results string) string {
+	t.Helper()
+	got := runSweepStdout(t, bin, dir, "merge", "-server", url, "-manifest", manifest, "-out", results)
+	oracle := results + ".refold.json"
+	want := runSweepStdout(t, bin, dir, "merge", "-dirs", store, "-manifest", manifest,
+		"-merged-dir", results+".refold-cache", "-out", oracle)
+	if got != want {
+		t.Errorf("merge -server render differs from the re-fold of the daemon's store:\nserver:\n%s\nrefold:\n%s", got, want)
+	}
+	if a, b := loadResults(t, results), loadResults(t, oracle); !reflect.DeepEqual(a, b) {
+		t.Errorf("merge -server results differ from the re-fold of the daemon's store:\nserver: %+v\nrefold: %+v", a, b)
+	}
+	return got
+}
+
+// loadResults reads a merge-stage results file.
+func loadResults(t *testing.T, path string) *Results {
+	t.Helper()
+	res, err := LoadResults(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // singleProcessFig14 computes the reference rows the merged results
 // must match bit-identically.
 func singleProcessFig14(t *testing.T, workloads []string, instructions int64) []report.PerfRow {
@@ -199,15 +245,7 @@ func singleProcessFig14(t *testing.T, workloads []string, instructions int64) []
 // figure's rows.
 func loadFigureRows(t *testing.T, path, fig string) []report.PerfRow {
 	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res Results
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatal(err)
-	}
-	rows, ok := res.FigureRows(fig)
+	rows, ok := loadResults(t, path).FigureRows(fig)
 	if !ok {
 		t.Fatalf("merged results carry no figure %s", fig)
 	}
@@ -217,9 +255,10 @@ func loadFigureRows(t *testing.T, path, fig string) []report.PerfRow {
 // TestServerSweepWorkStealingTwoWorkerProcesses is the acceptance test
 // of the networked transport: plan, a real rowswap-cached daemon, two
 // real worker processes in `work -server` (work-stealing) mode that
-// never touch a cache directory, and a `merge -server` pull must
-// reproduce figure 14's PerfRows bit-identically to a single-process
-// run — with zero filesystem interchange between any two processes. It
+// never touch a cache directory, and a `merge -server` of the daemon's
+// folded snapshot (equal to a re-fold of its store) must reproduce
+// figure 14's PerfRows bit-identically to a single-process run — with
+// zero filesystem interchange between any two processes. It
 // also times the same matrix through the PR 4 pre-sharded LPT path and
 // records both in BENCH_sweep.json's work_stealing section (jobs
 // claimed per worker, wall seconds per mode).
@@ -290,13 +329,32 @@ func TestServerSweepWorkStealingTwoWorkerProcesses(t *testing.T) {
 	}
 
 	results := filepath.Join(dir, "results.json")
-	run("merge", "-server", url, "-manifest", manifest,
-		"-merged-dir", filepath.Join(dir, "merged"), "-out", results)
+	mergeAgainstRefold(t, sweepBin, dir, url, manifest, filepath.Join(dir, "store"), results)
 	gotRows := loadFigureRows(t, results, "14")
 
 	want := singleProcessFig14(t, workloads, instructions)
 	if !reflect.DeepEqual(want, gotRows) {
 		t.Errorf("work-stealing rows differ from single-process rows:\nwant: %+v\ngot:  %+v", want, gotRows)
+	}
+
+	// The local-cache flags belong to the -dirs transport alone.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-server", url, "-merged-dir", filepath.Join(dir, "merged")}, "apply only to -dirs"},
+		{[]string{"-server", url, "-no-pack"}, "apply only to -dirs"},
+		{[]string{"-dirs", filepath.Join(dir, "store")}, "-dirs needs -merged-dir"},
+	} {
+		cmd := exec.Command(sweepBin, append([]string{"merge", "-manifest", manifest}, tc.args...)...)
+		cmd.Dir = dir
+		out, err := cmd.CombinedOutput()
+		if err == nil || !strings.Contains(string(out), tc.want) {
+			t.Errorf("merge %v: err %v, output %q; want a failure saying %q", tc.args, err, out, tc.want)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "merged")); !os.IsNotExist(err) {
+		t.Errorf("a rejected merge -server created its -merged-dir (stat: %v)", err)
 	}
 
 	// The comparison row: the same matrix through pre-sharded LPT with
@@ -324,6 +382,67 @@ func TestServerSweepWorkStealingTwoWorkerProcesses(t *testing.T) {
 		"instructions_per_core":       instructions,
 		"requeues":                    st["requeues"],
 	})
+}
+
+// TestServerSweepRunShardServer covers the plan-time shard transport
+// over HTTP: a daemon started with no manifest, one `run-shard -server`
+// process per shard, then `merge -server`. Each shard registers the
+// manifest and completes its jobs without a lease, so the daemon's
+// snapshot is complete when the shards exit; it must equal the re-fold
+// of the daemon's store and reproduce figure 14's single-process rows.
+func TestServerSweepRunShardServer(t *testing.T) {
+	dir := t.TempDir()
+	sweepBin := buildCLI(t, dir, "rowswap-sweep")
+	cachedBin := buildCLI(t, dir, "rowswap-cached")
+
+	const instructions = 200_000
+	workloads := []string{"gcc", "mcf"}
+	manifest := filepath.Join(dir, "manifest.json")
+	runSweepStdout(t, sweepBin, dir, "plan", "-fig", "14",
+		"-workloads", strings.Join(workloads, ","), "-cores", "2",
+		"-instructions", fmt.Sprint(instructions), "-window", "200000",
+		"-shards", "2", "-out", manifest)
+	store := filepath.Join(dir, "store")
+	url := startCached(t, cachedBin, "-store-dir", store, "-addr", "127.0.0.1:0")
+
+	shards := make([]*exec.Cmd, 2)
+	for i := range shards {
+		shards[i] = exec.Command(sweepBin, "run-shard", "-manifest", manifest,
+			"-shard", fmt.Sprint(i), "-server", url, "-workers", "1")
+		shards[i].Dir = dir
+		shards[i].Stderr = os.Stderr
+		if err := shards[i].Start(); err != nil {
+			t.Fatalf("starting shard %d: %v", i, err)
+		}
+	}
+	for i, w := range shards {
+		if err := w.Wait(); err != nil {
+			t.Fatalf("shard %d failed: %v", i, err)
+		}
+	}
+
+	raw, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := objstore.ManifestFingerprint(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := queueStatusPath(t, url, "/m/"+fp+"/status")
+	if done := st["done"].(float64); done != 6 { // 2 workloads × (baseline + 2 configs)
+		t.Errorf("queue reports %v jobs done, want 6", done)
+	}
+	if stale := st["stale_completions"].(float64); stale != 0 {
+		t.Errorf("lease-less shard completions counted %v stale, want 0", stale)
+	}
+
+	results := filepath.Join(dir, "results.json")
+	mergeAgainstRefold(t, sweepBin, dir, url, manifest, store, results)
+	want := singleProcessFig14(t, workloads, instructions)
+	if got := loadFigureRows(t, results, "14"); !reflect.DeepEqual(want, got) {
+		t.Errorf("run-shard -server rows differ from single-process rows:\nwant: %+v\ngot:  %+v", want, got)
+	}
 }
 
 // TestServerSweepSurvivesKilledWorker is the fault-tolerance
@@ -379,8 +498,7 @@ func TestServerSweepSurvivesKilledWorker(t *testing.T) {
 	}
 
 	results := filepath.Join(dir, "results.json")
-	run("merge", "-server", url, "-manifest", manifest,
-		"-merged-dir", filepath.Join(dir, "merged"), "-out", results)
+	mergeAgainstRefold(t, sweepBin, dir, url, manifest, filepath.Join(dir, "store"), results)
 	gotRows := loadFigureRows(t, results, "14")
 	want := singleProcessFig14(t, workloads, instructions)
 	if !reflect.DeepEqual(want, gotRows) {
@@ -511,8 +629,7 @@ func TestServerSweepDaemonRestartMidSweep(t *testing.T) {
 	// entries from before the kill, after the restart, and from the
 	// doomed worker's final push all assemble into the same rows.
 	results := filepath.Join(dir, "results.json")
-	run("merge", "-server", url2, "-manifest", manifest,
-		"-merged-dir", filepath.Join(dir, "merged"), "-out", results)
+	mergeAgainstRefold(t, sweepBin, dir, url2, manifest, store, results)
 	gotRows := loadFigureRows(t, results, "14")
 	want := singleProcessFig14(t, workloads, instructions)
 	if !reflect.DeepEqual(want, gotRows) {
@@ -658,8 +775,7 @@ func TestServerTwoManifestsConcurrently(t *testing.T) {
 		{"b", manifestB, wlB},
 	} {
 		results := filepath.Join(dir, "results-"+tc.name+".json")
-		run("merge", "-server", url, "-manifest", tc.manifest,
-			"-merged-dir", filepath.Join(dir, "merged-"+tc.name), "-out", results)
+		mergeAgainstRefold(t, sweepBin, dir, url, tc.manifest, filepath.Join(dir, "store"), results)
 		gotRows := loadFigureRows(t, results, "14")
 		want := singleProcessFig14(t, tc.workloads, instructions)
 		if !reflect.DeepEqual(want, gotRows) {

@@ -153,8 +153,7 @@ func TestServerSweepFollowStreamsFigures(t *testing.T) {
 	// The batch path over the same store: merge, then re-render from the
 	// results file. The follower's stdout must be byte-identical.
 	results := filepath.Join(dir, "results.json")
-	run("merge", "-server", url, "-manifest", manifest,
-		"-merged-dir", filepath.Join(dir, "merged"), "-out", results)
+	mergeAgainstRefold(t, sweepBin, dir, url, manifest, filepath.Join(dir, "store"), results)
 	render := exec.Command(figuresBin, "-manifest", results)
 	render.Dir = dir
 	batchRender, err := render.Output()

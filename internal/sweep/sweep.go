@@ -910,15 +910,23 @@ func (m *Manifest) Save(path string) error {
 
 // LoadManifest reads a manifest written by Save.
 func LoadManifest(path string) (*Manifest, error) {
+	m, _, err := LoadManifestRaw(path)
+	return m, err
+}
+
+// LoadManifestRaw is LoadManifest also returning the file's bytes,
+// which a store daemon fingerprints to name the manifest's namespace
+// (objstore.ManifestFingerprint).
+func LoadManifestRaw(path string) (*Manifest, []byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("sweep: %s: %w", path, err)
+		return nil, nil, fmt.Errorf("sweep: %s: %w", path, err)
 	}
-	return &m, nil
+	return &m, data, nil
 }
 
 // ShardStats reports what a RunShard invocation did.
@@ -1067,13 +1075,14 @@ func (m *Manifest) Merge(mergedDir string, workerDirs []string, pack bool, progr
 // manifest job, reconstructs every covered figure's rows via the
 // fan-out maps — simulation results into performance rows, batch
 // tallies folded per security cell into MonteCarloResult rows — and
-// optionally packs the loose entries. It is the shared tail of both
-// merge transports (worker directories and the HTTP store). Tally
-// folding is exact (attack.Tally merges over integer accumulators), so
-// the security rows are bit-identical to a single-process oracle run
-// of the same seeded trial stream, whatever order workers completed
-// the batches in. A stored tally that decodes but violates its
-// invariants fails the merge loudly — corrupt data never folds in.
+// optionally packs the loose entries. It is Merge's tail; MergeServer
+// reads the daemon's own fold instead, so Merge over the daemon's
+// store directory is its independent re-fold oracle. Tally folding is
+// exact (attack.Tally merges over integer accumulators), so the
+// security rows are bit-identical to a single-process oracle run of
+// the same seeded trial stream, whatever order workers completed the
+// batches in. A stored tally that decodes but violates its invariants
+// fails the merge loudly — corrupt data never folds in.
 func (m *Manifest) assemble(p plan, cache *simcache.Cache, pack bool, progress io.Writer) (*Results, error) {
 	acc := m.newAccumulator(p)
 	for ji := range m.Jobs {

@@ -1,17 +1,15 @@
 package sweep
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/objstore"
-	"repro/internal/simcache"
 )
 
 // This file is the networked side of the sweep: workers that push and
@@ -19,9 +17,10 @@ import (
 // objstore) instead of local cache directories, a work-stealing
 // execution mode that claims jobs from the daemon's queue instead of
 // honoring plan-time shard assignments, and a merge transport that
-// pulls the result set over HTTP. Together they make a multi-machine
-// run of the evaluation need no filesystem interchange at all: ship
-// the binary, start the daemon, point workers at it.
+// reads the daemon's already-folded figure snapshot over HTTP.
+// Together they make a multi-machine run of the evaluation need no
+// filesystem interchange at all: ship the binary, start the daemon,
+// point workers at it.
 
 // QueueJobs converts the manifest's deduplicated job set into the
 // object store's claimable queue entries, in manifest order — a
@@ -41,8 +40,15 @@ func (m *Manifest) QueueJobs() []objstore.QueueJob {
 // and nothing is copied afterwards. The plan-time shard assignment is
 // honored exactly as RunShard would — this is the drop-in transport
 // swap; see RunWork for the mode that also replaces the sharding.
+//
+// The client must be namespaced to the manifest (register it, then
+// Client.ForManifest): each pushed job is completed in its queue
+// without a lease, so the daemon folds it at once.
 func (m *Manifest) RunShardServer(shard int, client *objstore.Client, workers int, progress io.Writer) (ShardStats, error) {
 	var stats ShardStats
+	if client.Fingerprint() == "" {
+		return stats, fmt.Errorf("sweep: a server shard needs a client namespaced to the manifest (register it, then Client.ForManifest) to complete its jobs")
+	}
 	p, err := m.expand()
 	if err != nil {
 		return stats, err
@@ -52,7 +58,14 @@ func (m *Manifest) RunShardServer(shard int, client *objstore.Client, workers in
 	}
 	mine := m.shardJobs(shard)
 	stats.Jobs = len(mine)
-	exec := func(ji int) (bool, error) { return p.run(m, ji, client) }
+	worker := fmt.Sprintf("shard-%d", shard)
+	exec := func(ji int) (bool, error) {
+		hit, err := p.run(m, ji, client)
+		if err == nil {
+			err = client.Complete(ji, "", worker)
+		}
+		return hit, err
+	}
 	stats.Hits, err = m.runJobPool(mine, workers, progress, fmt.Sprintf("shard %d", shard), exec)
 	return stats, err
 }
@@ -238,97 +251,52 @@ func (m *Manifest) RunWork(client *objstore.Client, worker string, goroutines in
 	return stats, nil
 }
 
-// MergeServer builds the merged result set by pulling every manifest
-// job's entry (and the measured-cost estimates) from the HTTP store
-// into mergedDir, then audits and reconstructs every figure exactly
-// like Merge — same assembly arithmetic, so the rows are bit-identical
-// to a single-process run and to a directory-transport merge. Pulls
-// are idempotent: entries already present locally are not re-fetched,
-// so an interrupted merge resumes where it stopped.
+// MergeServer returns the daemon's own fold as the merged result set:
+// one GET of the manifest's figure snapshot (GET /m/{fp}/figures). The
+// daemon's accumulator folds every completed entry with Merge's
+// arithmetic, so a complete snapshot is bit-identical to a
+// directory-transport merge and to a single-process run. The snapshot
+// must cover every job and match this build's plan, or the merge fails
+// naming the incomplete or mismatched figures. The client must be
+// namespaced to the manifest (Client.ForManifest).
+//
+// Nothing is pulled, written or folded locally: mergedDir and pack are
+// unused by this transport, and no measured costs are imported.
 func (m *Manifest) MergeServer(mergedDir string, client *objstore.Client, pack bool, progress io.Writer) (*Results, error) {
+	if client.Fingerprint() == "" {
+		return nil, fmt.Errorf("sweep: server merge needs a client namespaced to the manifest (Client.ForManifest); an unbound one reads the daemon's default manifest")
+	}
 	p, err := m.expand()
 	if err != nil {
 		return nil, err
 	}
-	cache, err := simcache.Open(mergedDir)
+	data, err := client.FiguresJSON()
 	if err != nil {
-		return nil, fmt.Errorf("sweep: merged dir: %w", err)
+		return nil, fmt.Errorf("sweep: figure snapshot of manifest %.12s… from %s: %w", client.Fingerprint(), client.Base(), err)
 	}
-	// Pulls are independent, idempotent GETs, so a small pool overlaps
-	// the round-trips instead of serializing (job count × RTT) over a
-	// real network. Entry writes are atomic (temp file + rename), so
-	// concurrent PutRaw calls are safe.
-	pullers := mergePullers
-	if pullers > len(m.Jobs) {
-		pullers = len(m.Jobs)
+	part, err := DecodePartial(data)
+	if err != nil {
+		return nil, err
 	}
-	var (
-		cursor  atomic.Int64
-		pulled  atomic.Int64
-		firstMu sync.Mutex
-		firstE  error
-		wg      sync.WaitGroup
-	)
-	cursor.Store(-1)
-	for n := 0; n < pullers; n++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1))
-				if i >= len(m.Jobs) {
-					return
-				}
-				firstMu.Lock()
-				failed := firstE != nil
-				firstMu.Unlock()
-				if failed {
-					return
-				}
-				j := m.Jobs[i]
-				if cache.Has(j.Key) {
-					continue
-				}
-				data, ok, err := client.GetEntryRaw(j.Key)
-				if err == nil && ok {
-					err = cache.PutRaw(j.Key, data)
-				}
-				if err != nil {
-					firstMu.Lock()
-					if firstE == nil {
-						firstE = fmt.Errorf("sweep: pull result for %s: %w", j.desc(), err)
-					}
-					firstMu.Unlock()
-					return
-				}
-				if ok {
-					pulled.Add(1)
-				}
-				// A miss is left for the audit in assemble, which
-				// reports every missing job at once, with job names.
+	cov := part.Coverage
+	if cov.Jobs != len(m.Jobs) {
+		return nil, fmt.Errorf("sweep: the daemon's snapshot covers a %d-job manifest, this one lists %d jobs", cov.Jobs, len(m.Jobs))
+	}
+	if !cov.Complete() {
+		var pending []string
+		for _, fc := range cov.Figures {
+			if fc.Covered < fc.Cells {
+				pending = append(pending, fmt.Sprintf("%s %d/%d cells", fc.Fig, fc.Covered, fc.Cells))
 			}
-		}()
+		}
+		return nil, fmt.Errorf("sweep: merge incomplete, the daemon has folded %d of %d jobs (%s); run the missing work or shards against this daemon, then merge again",
+			cov.Done, cov.Jobs, strings.Join(pending, ", "))
 	}
-	wg.Wait()
-	if firstE != nil {
-		return nil, firstE
-	}
-	nc := 0
-	costs, err := client.CostsJSONL()
-	if err == nil {
-		nc = cache.Costs().ImportRecords(bytes.NewReader(costs))
-	} else if progress != nil {
-		// Cost feedback is an optimization signal, not a correctness
-		// dependency — but a silent drop would make a later
-		// `plan -strategy cost` quietly fall back to the static
-		// heuristic, so say what happened.
-		fmt.Fprintf(progress, "  warning: measured costs not pulled from %s: %v\n", client.Base(), err)
+	if err := p.checkSnapshot(part.Results); err != nil {
+		return nil, err
 	}
 	if progress != nil {
-		fmt.Fprintf(progress, "  pulled %d entries (+%d measured costs) from %s\n", pulled.Load(), nc, client.Base())
+		fmt.Fprintf(progress, "  merged %d jobs from the figure snapshot of %s\n", cov.Jobs, client.Base())
 	}
-	return m.assemble(p, cache, pack, progress)
+	return part.Results, nil
 }
-
-// mergePullers bounds MergeServer's concurrent entry downloads.
-const mergePullers = 8
