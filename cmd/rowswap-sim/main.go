@@ -6,8 +6,10 @@
 // (internal/simcache) when available, so repeating an invocation — or
 // re-running a mitigated configuration whose baseline was already
 // simulated — costs only a file read. A mitigated run whose baseline
-// proves no row can reach the swap threshold is derived from the
-// baseline instead of simulated (sim.Derive), and the output says so.
+// proves its tracker stays inert (no row can reach the swap threshold,
+// or under Hydra no row group can reach the group threshold) is derived
+// from the baseline instead of simulated (sim.Derive), and the output
+// says so.
 // Use -no-cache to force re-simulation or -cache-dir to relocate the
 // cache.
 //
@@ -26,6 +28,7 @@ import (
 	"runtime/pprof"
 
 	"repro/internal/config"
+	"repro/internal/memctrl"
 	"repro/internal/sim"
 	"repro/internal/simcache"
 	"repro/internal/trace"
@@ -163,8 +166,12 @@ func main() {
 	if rm.Derived() {
 		base := sys
 		base.Mitigation = config.Mitigation{}
-		fmt.Printf("(mitigated result derived from baseline run %.12s: no row can reach T_S = %d)\n",
-			simcache.RunKey(w, base, opt), sys.Mitigation.TS())
+		bound := fmt.Sprintf("no row can reach T_S = %d", sys.Mitigation.TS())
+		if sys.Mitigation.Tracker == config.TrackerHydra {
+			bound = fmt.Sprintf("no %d-row group can reach Hydra's group threshold %d",
+				memctrl.HydraGroupRows, memctrl.HydraGroupThreshold(sys))
+		}
+		fmt.Printf("(mitigated result derived from baseline run %.12s: %s)\n", simcache.RunKey(w, base, opt), bound)
 	}
 	printResult(rm, norm)
 }

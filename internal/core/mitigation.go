@@ -53,8 +53,9 @@ type Stats struct {
 // Every implementation is inert until its first OnAggressor call:
 // Resolve is the identity, Tick and OnWindowEnd issue no bank operation
 // (no activation, no blocking), NextWork reports NoWork, and Stats is
-// zero. A mitigated run whose tracker never crosses T_S is therefore
-// cycle-for-cycle its unprotected baseline, which is what lets
+// zero. A mitigated run whose tracker never crosses T_S (nor, for
+// Hydra, reaches DRAM) is therefore cycle-for-cycle its unprotected
+// baseline, which is what lets
 // sim.Derive build such a run's Result from the baseline's instead of
 // simulating it (TestMitigationsInertBeforeFirstAggressor pins this).
 type Mitigation interface {

@@ -170,6 +170,10 @@ type rankState struct {
 	bankEpoch []uint32
 	touched   [][]RowID
 	permDirty [][]RowID
+
+	// groupSums is MaxGroupACT's per-group scratch, shared by the
+	// rank's banks (one sweep at a time) and all zero between sweeps.
+	groupSums []uint32
 }
 
 // rankStatePool recycles rankStates across Memory instances: zeroing
@@ -312,6 +316,29 @@ func (b *Bank) MaxWindowACT() (uint32, RowID) {
 		}
 	}
 	return count, slot
+}
+
+// MaxGroupACT returns the highest activation total of any aligned group
+// of groupRows consecutive slots (slots g*groupRows up to
+// (g+1)*groupRows-1) in the current refresh window. Like MaxWindowACT it
+// scans only the touched list, summing into the rank's scratch array,
+// and a second pass re-zeroes the groups it touched.
+func (b *Bank) MaxGroupACT(groupRows int) uint32 {
+	st := b.state
+	if n := (b.rows + groupRows - 1) / groupRows; len(st.groupSums) < n {
+		st.groupSums = make([]uint32, n)
+	}
+	sums := st.groupSums
+	var best uint32
+	for _, s := range b.touched {
+		g := int(s) / groupRows
+		sums[g] += b.slots[s] & countMask
+		best = max(best, sums[g])
+	}
+	for _, s := range b.touched {
+		sums[int(s)/groupRows] = 0
+	}
+	return best
 }
 
 // ContentAt returns the logical row stored in a physical slot.

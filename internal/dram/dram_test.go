@@ -306,6 +306,71 @@ func TestCountersAndTouchedWindowReset(t *testing.T) {
 	}
 }
 
+// TestMaxGroupACT pins the group sweep the Hydra derivation bound reads:
+// groups are aligned runs of groupRows slots (127 and 128 are in
+// different groups, the last group may be partial), touch order does
+// not matter, the rank's shared scratch is all zero between calls and
+// across banks, and a window roll starts every group from zero.
+func TestMaxGroupACT(t *testing.T) {
+	tm := testTiming()
+	st := takeRankState(2, 300) // groups of 128: 0..127, 128..255, 256..299
+	b, other := bankFromState(st, 0), bankFromState(st, 1)
+	now := Cycles(0)
+	act := func(b *Bank, slots ...RowID) {
+		for _, s := range slots {
+			b.Activate(s, now, &tm)
+			now += tm.TRC
+		}
+	}
+	scratchZero := func(when string) {
+		t.Helper()
+		for g, v := range st.groupSums {
+			if v != 0 {
+				t.Fatalf("%s: scratch group %d holds %d, want 0", when, g, v)
+			}
+		}
+	}
+
+	act(b, 127, 128, 127, 128, 127)
+	if got := b.MaxGroupACT(128); got != 3 {
+		t.Fatalf("slots 127 (3 ACTs) and 128 (2 ACTs): MaxGroupACT = %d, want 3 (different groups)", got)
+	}
+	scratchZero("after the first sweep")
+
+	// Groups 0 and 1 reach 6 each and the partial group 2 reaches 4+4,
+	// touched out of slot order.
+	act(b, 299, 0, 256, 200, 299, 256, 0, 299, 256, 200, 127, 299, 256, 200, 128)
+	for i := 0; i < 2; i++ {
+		if got := b.MaxGroupACT(128); got != 8 {
+			t.Fatalf("call %d: MaxGroupACT = %d, want 8 (the partial last group)", i, got)
+		}
+		scratchZero("between calls")
+	}
+	if got, _ := b.MaxWindowACT(); b.MaxGroupACT(1) != got {
+		t.Errorf("MaxGroupACT(1) = %d, want MaxWindowACT %d", b.MaxGroupACT(1), got)
+	}
+	if got := b.MaxGroupACT(300); got != uint32(b.WindowACTs()) {
+		t.Errorf("one group over the bank: MaxGroupACT = %d, want WindowACTs %d", got, b.WindowACTs())
+	}
+
+	// The other bank shares the scratch but none of b's counts.
+	act(other, 5)
+	if got := other.MaxGroupACT(128); got != 1 {
+		t.Errorf("second bank of the rank: MaxGroupACT = %d, want 1", got)
+	}
+	scratchZero("after the second bank's sweep")
+
+	b.StartNewWindow()
+	if got := b.MaxGroupACT(128); got != 0 {
+		t.Fatalf("after a window roll: MaxGroupACT = %d, want 0", got)
+	}
+	act(b, 299)
+	if got := b.MaxGroupACT(128); got != 1 {
+		t.Errorf("one ACT after the roll: MaxGroupACT = %d, want 1", got)
+	}
+	scratchZero("after the roll")
+}
+
 // TestEpochCountersAcrossWindowRoll is the SoA analogue of PR 6's
 // "dirty banks must not pool" regression: a bank left dirty when a
 // refresh window rolls must report zero ACTCount for every untouched

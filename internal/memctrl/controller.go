@@ -201,20 +201,27 @@ func (c *Controller) TSThreshold() int { return c.ts }
 
 // NewTracker constructs the tracker selected by the configuration, sized
 // per the paper: Misra-Gries capacity ceil(ACT_max/T_S) entries per bank;
-// Hydra with 128-row groups, a group threshold of T_S/2, and a per-bank
-// row-counter cache.
+// Hydra with HydraGroupRows-row groups, a group threshold of
+// HydraGroupThreshold, and a per-bank row-counter cache.
 func NewTracker(sys config.System, geo config.Geometry) tracker.Tracker {
 	numBanks := geo.TotalBanks()
 	switch sys.Mitigation.Tracker {
 	case config.TrackerHydra:
-		gt := trackerTS(sys) / 2
-		if gt < 1 {
-			gt = 1
-		}
-		return tracker.NewHydra(numBanks, geo.RowsPerBank, 128, gt, 2048)
+		return tracker.NewHydra(numBanks, geo.RowsPerBank, HydraGroupRows, HydraGroupThreshold(sys), 2048)
 	default:
 		return tracker.NewMisraGries(numBanks, MisraGriesCapacity(sys))
 	}
+}
+
+// HydraGroupRows is the number of consecutive rows one Hydra group
+// counter covers (128 in the Hydra paper).
+const HydraGroupRows = 128
+
+// HydraGroupThreshold returns the group count at which NewTracker's
+// Hydra switches a group to per-row counters in DRAM: T_S/2, at least 1.
+// Below it Hydra touches no DRAM and reports counts under T_S.
+func HydraGroupThreshold(sys config.System) int {
+	return max(trackerTS(sys)/2, 1)
 }
 
 // MisraGriesCapacity returns the per-bank entry capacity NewTracker

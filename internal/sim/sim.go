@@ -144,7 +144,7 @@ type Result struct {
 	// Windows profiles every refresh window of the run, the final
 	// partial one included: one entry per bank, in bank order, window
 	// after window. Derive reads a baseline's profile to prove a
-	// mitigated run's tracker can never cross T_S.
+	// mitigated run's tracker stays inert.
 	Windows []BankWindow
 
 	// Instructions is the total number of budgeted instructions simulated
@@ -167,10 +167,12 @@ type Result struct {
 }
 
 // BankWindow is one bank's activity in one refresh window: its hottest
-// slot's activations and its total activations.
+// slot's activations, its total activations, and the activations of its
+// hottest aligned group of memctrl.HydraGroupRows slots.
 type BankWindow struct {
-	MaxACT uint32
-	ACTs   uint32
+	MaxACT      uint32
+	ACTs        uint32
+	MaxGroupACT uint32
 }
 
 // issuer adapts the LLC + memory controller to the cpu.Issuer interface.
@@ -360,8 +362,8 @@ type machine struct {
 }
 
 // sampleWindow records every bank's activity in the current refresh
-// window (its hottest slot and its activation total) before the window's
-// counters are reset.
+// window (its hottest slot, its activation total and its hottest Hydra
+// group) before the window's counters are reset.
 func (m *machine) sampleWindow() {
 	for i := 0; i < m.mem.NumBanks(); i++ {
 		b := m.mem.Bank(i)
@@ -369,7 +371,11 @@ func (m *machine) sampleWindow() {
 		if a > m.maxACT {
 			m.maxACT = a
 		}
-		m.windows = append(m.windows, BankWindow{MaxACT: a, ACTs: uint32(b.WindowACTs())})
+		m.windows = append(m.windows, BankWindow{
+			MaxACT:      a,
+			ACTs:        uint32(b.WindowACTs()),
+			MaxGroupACT: b.MaxGroupACT(memctrl.HydraGroupRows),
+		})
 	}
 }
 

@@ -66,7 +66,9 @@ func TestRunCachedStoreDerivesFromStoredBaseline(t *testing.T) {
 }
 
 // TestNormalizedPerfDerives checks that a serial NormalizedPerf, and a
-// parallel one whose baseline is cached, derive a quiet mitigated run.
+// parallel one whose baseline is cached, derive a quiet mitigated run,
+// under either tracker, and that a Hydra cell whose hottest group
+// reaches the group threshold is simulated instead.
 func TestNormalizedPerfDerives(t *testing.T) {
 	w, sys, opt := testWorkload(t), testSys(), testOpts()
 	if _, _, rm, err := NormalizedPerf(nil, w, sys, opt, false); err != nil || !rm.Derived() {
@@ -84,7 +86,17 @@ func TestNormalizedPerfDerives(t *testing.T) {
 	}
 	hydra := sys
 	hydra.Mitigation.Tracker = config.TrackerHydra
-	if _, _, rm, err := NormalizedPerf(c, w, hydra, opt, false); err != nil || rm.Derived() {
-		t.Fatalf("hydra: err %v, derived %v", err, err == nil && rm.Derived())
+	if _, _, rm, err := NormalizedPerf(c, w, hydra, opt, true); err != nil || !rm.Derived() {
+		t.Fatalf("quiet hydra: err %v, derived %v", err, err == nil && rm.Derived())
+	}
+	hot := hydra
+	hot.Mitigation = config.DefaultRRS(512)
+	hot.Mitigation.Tracker = config.TrackerHydra
+	_, _, rm, err := NormalizedPerf(c, w, hot, opt, true)
+	if err != nil || rm.Derived() {
+		t.Fatalf("hot hydra: err %v, derived %v", err, err == nil && rm.Derived())
+	}
+	if rm.Ctrl.TrackerMemOps == 0 {
+		t.Errorf("hot hydra: the simulated run made no tracker DRAM access; pick a hotter case")
 	}
 }

@@ -35,7 +35,9 @@ import (
 // versions of the simulator or of this package's envelope format. Bump
 // it when sim.Result's meaning changes in a way the binary fingerprint
 // cannot capture (it normally can: any rebuild changes the fingerprint).
-const SchemaVersion = 1
+// Version 2: sim.BankWindow gained MaxGroupACT, which sim.Derive trusts
+// for Hydra-tracked cells.
+const SchemaVersion = 2
 
 // codeVersion fingerprints the running binary: two different builds of
 // the simulator must never share cache entries, because any code change

@@ -193,3 +193,46 @@ func TestTrackerNames(t *testing.T) {
 		t.Error("Hydra name")
 	}
 }
+
+// FuzzHydraInertBelowGroupThreshold pins the premise of deriving a
+// Hydra-tracked run from its baseline: against an exact per-group
+// counter, every ACT before any group reaches the group threshold gt
+// returns extra == 0 and the group's count (so a count below gt), and
+// the ACT that brings a group to gt returns extra == 1. The input is a
+// stream of ACTs over two banks with window resets (byte pairs; a first
+// byte of 0xff resets), a group size and a threshold.
+func FuzzHydraInertBelowGroupThreshold(f *testing.F) {
+	f.Add(uint8(127), uint8(2), []byte{0, 5, 0, 6, 1, 5, 0, 5})        // group 0 of bank 0 reaches gt 3
+	f.Add(uint8(0), uint8(2), []byte{2, 0, 2, 0, 0xff, 0, 2, 0, 2, 0}) // a reset keeps row 256 below gt
+	f.Add(uint8(127), uint8(1), []byte{6, 231, 6, 230})                // rows 999 and 998 fill the partial last group to gt 2
+	f.Fuzz(func(t *testing.T, gs, gtByte uint8, ops []byte) {
+		const rows = 1000 // not a multiple of most group sizes: a partial last group
+		groupSize := int(gs)%128 + 1
+		gt := int(gtByte)%64 + 1
+		h := NewHydra(2, rows, groupSize, gt, 16)
+		type group struct{ bank, g int }
+		ref := map[group]int{}
+		for i := 0; i+1 < len(ops); i += 2 {
+			if ops[i] == 0xff {
+				h.Reset()
+				clear(ref)
+				continue
+			}
+			bank := int(ops[i] & 1)
+			row := (int(ops[i]>>1)<<8 | int(ops[i+1])) % rows
+			k := group{bank, row / groupSize}
+			ref[k]++
+			count, extra := h.RecordACT(bank, int32(row))
+			if ref[k] == gt {
+				if extra != 1 {
+					t.Fatalf("ACT %d (bank %d row %d) brought its group to gt %d: extra %d, want 1", i/2, bank, row, gt, extra)
+				}
+				return // the group is in per-row mode from here on
+			}
+			if extra != 0 || count != ref[k] {
+				t.Fatalf("ACT %d (bank %d row %d) with every group below gt %d: (count %d, extra %d), want (%d, 0)",
+					i/2, bank, row, gt, count, extra, ref[k])
+			}
+		}
+	})
+}
