@@ -511,8 +511,9 @@ func measureHotPaths() map[string]any {
 	}
 	nextRate := nextRecords / time.Since(start).Seconds()
 
-	// recordACT via Bank.Access over a random-slot sequence: the packed
-	// epoch-counter read-modify-write plus the bank timing updates.
+	// recordACT via Bank.Access over a random-slot sequence: the
+	// pending-log append, its fold into the packed epoch counters every
+	// 1024 ACTs, plus the bank timing updates.
 	sys := config.Default()
 	mem := dram.NewMemory(sys.Geometry, dram.FromConfig(sys.Timing, sys.Core.ClockGHz))
 	tm := mem.Timing()
@@ -719,8 +720,9 @@ func BenchmarkStreamBatch(b *testing.B) {
 }
 
 // BenchmarkRecordACT measures the per-activation accounting path: a
-// closed-page access on a random slot of a random bank, charging the
-// packed epoch-stamped counter exactly as the memory controller does.
+// closed-page access on a random slot of a random bank, logging the ACT
+// and folding the log into the packed epoch-stamped counters exactly as
+// the memory controller's accesses do.
 func BenchmarkRecordACT(b *testing.B) {
 	sys := config.Default()
 	mem := dram.NewMemory(sys.Geometry, dram.FromConfig(sys.Timing, sys.Core.ClockGHz))

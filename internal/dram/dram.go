@@ -87,9 +87,14 @@ func FromConfig(t config.Timing, clockGHz float64) Timing {
 //
 // Bank state is structure-of-arrays: the counters and permutation maps
 // of all banks in a rank live in one contiguous rankState (see below),
-// and each Bank holds subslices of its segment. recordACT is therefore
-// a single indexed read-modify-write on one packed uint32, and window
-// sweeps (MaxWindowACT, VictimSlots) scan contiguous memory.
+// and each Bank holds subslices of its segment. The counters are read
+// only at window ends (and by tests and tools), so recordACT does not
+// touch them: it appends the slot to a short pending log, and settle
+// folds the log into the counters before any read. An activated slot
+// is effectively random within the 128K-slot segment, so charging it
+// on the spot would miss the host cache on every ACT and stall the
+// simulation behind each miss; the fold issues the same updates in a
+// tight loop of independent accesses whose misses overlap.
 type Bank struct {
 	rows int
 
@@ -107,14 +112,16 @@ type Bank struct {
 	// dead. The epoch wraps every 255 generations, where the segment is
 	// cleared once (amortized to nothing). 24 count bits are safe by
 	// physics: tRC bounds a slot's activations in even a full 64 ms
-	// window to ~1.4M, far under 2^24. The packing matters because
-	// recordACT's slot touch is effectively random: 32-bit entries
-	// halve the counter footprint (and double the slots per cache
-	// line) versus split count+epoch arrays.
-	// touched lists the slots with a live count this window, bounding
-	// window sweeps to the slots actually activated.
+	// window to ~1.4M, far under 2^24. 32-bit entries halve the
+	// footprint settle's random touches spread over, versus split
+	// count+epoch arrays.
+	// touched lists the slots with a live count this window, in order
+	// of first activation, bounding window sweeps to the slots actually
+	// activated. pending lists this window's activations not yet folded
+	// into slots (see settle).
 	slots   []uint32
 	touched []RowID
+	pending []RowID
 	epoch   uint32
 	bankIdx int // index within the owning rankState
 	state   *rankState
@@ -165,10 +172,11 @@ type rankState struct {
 
 	// Carried across pooling: the high-water epoch per bank (a reused
 	// state resumes each bank above every stamp its segment contains)
-	// and the touched-/dirty-list backings (capacity retained, length
-	// zero).
+	// and the touched-/pending-/dirty-list backings (capacity retained,
+	// length zero).
 	bankEpoch []uint32
 	touched   [][]RowID
+	pending   [][]RowID
 	permDirty [][]RowID
 
 	// groupSums is MaxGroupACT's per-group scratch, shared by the
@@ -192,6 +200,7 @@ func takeRankState(banks, rows int) *rankState {
 		slots:     make([]uint32, banks*rows),
 		bankEpoch: make([]uint32, banks),
 		touched:   make([][]RowID, banks),
+		pending:   make([][]RowID, banks),
 		permDirty: make([][]RowID, banks),
 	}
 }
@@ -205,6 +214,7 @@ func bankFromState(st *rankState, idx int) *Bank {
 		openRow:   -1,
 		slots:     st.slots[idx*st.rows : (idx+1)*st.rows],
 		touched:   st.touched[idx],
+		pending:   st.pending[idx],
 		permDirty: st.permDirty[idx],
 		epoch:     st.bankEpoch[idx] + 1,
 		bankIdx:   idx,
@@ -226,14 +236,17 @@ func newBank(rows int) *Bank {
 
 // recycle detaches the bank from its rankState, recording the
 // high-water epoch (so the next owner of the segment resumes above it),
-// the touched backing (capacity kept, length zeroed), and whether the
-// permutation segment is back to the identity (the usual end state:
-// place-back unwinds every swap). The bank must not be used afterwards;
-// Memory.Recycle pools the rankState itself once every bank detached.
+// the touched and pending backings (capacity kept, length zeroed), and
+// whether the permutation segment is back to the identity (the usual
+// end state: place-back unwinds every swap). The bank must not be used
+// afterwards; Memory.Recycle pools the rankState itself once every bank
+// detached.
 func (b *Bank) recycle() {
+	b.settle()
 	st := b.state
 	st.bankEpoch[b.bankIdx] = b.epoch
 	st.touched[b.bankIdx] = b.touched[:0]
+	st.pending[b.bankIdx] = b.pending[:0]
 	if b.content != nil {
 		if b.displaced > 0 && !b.permDirtyOverflow {
 			// Restore the segment to the identity by repairing only the
@@ -248,7 +261,7 @@ func (b *Bank) recycle() {
 		st.permIdentity[b.bankIdx] = b.displaced == 0
 	}
 	st.permDirty[b.bankIdx] = b.permDirty[:0]
-	b.slots, b.touched, b.permDirty, b.content, b.location, b.state = nil, nil, nil, nil, nil, nil
+	b.slots, b.touched, b.pending, b.permDirty, b.content, b.location, b.state = nil, nil, nil, nil, nil, nil, nil
 }
 
 func clearSlots(s []uint32) {
@@ -292,6 +305,7 @@ func (b *Bank) OpenRow() RowID { return b.openRow }
 // current refresh window. Counts stamped by an earlier window (or an
 // earlier owner of the pooled storage) read as zero.
 func (b *Bank) ACTCount(slot RowID) uint32 {
+	b.settle()
 	v := b.slots[slot]
 	if v>>epochShift != b.epoch {
 		return 0
@@ -305,6 +319,7 @@ func (b *Bank) ACTCount(slot RowID) uint32 {
 // recordACT runs once per activation, so keeping the running maximum
 // out of the per-ACT path is the right trade.
 func (b *Bank) MaxWindowACT() (uint32, RowID) {
+	b.settle()
 	var count uint32
 	var slot RowID
 	for _, s := range b.touched {
@@ -324,6 +339,7 @@ func (b *Bank) MaxWindowACT() (uint32, RowID) {
 // scans only the touched list, summing into the rank's scratch array,
 // and a second pass re-zeroes the groups it touched.
 func (b *Bank) MaxGroupACT(groupRows int) uint32 {
+	b.settle()
 	st := b.state
 	if n := (b.rows + groupRows - 1) / groupRows; len(st.groupSums) < n {
 		st.groupSums = make([]uint32, n)
@@ -374,20 +390,38 @@ func (b *Bank) Activate(slot RowID, now Cycles, t *Timing) Cycles {
 	return start + t.TRCD
 }
 
-// recordACT charges one activation to the slot's Row Hammer counter:
-// one predictable indexed read-modify-write on the packed epoch|count
-// word (the common in-window case adds 1 and is done), with the
-// first-touch-this-window case restamping the word and appending to the
-// touched list.
+// pendingLimit bounds a bank's pending log: a full log is settled on
+// the spot, so the log stays cache-resident (4 KB) however long a
+// window runs, while each fold still has ample independent misses to
+// overlap.
+const pendingLimit = 1 << 10
+
+// recordACT charges one activation to the slot's Row Hammer counter by
+// logging it; settle applies it before any read.
 func (b *Bank) recordACT(slot RowID) {
 	b.TotalACTs++
-	v := b.slots[slot]
-	if v>>epochShift == b.epoch {
-		b.slots[slot] = v + 1
-		return
+	b.pending = append(b.pending, slot)
+	if len(b.pending) == pendingLimit {
+		b.settle()
 	}
-	b.slots[slot] = b.epoch<<epochShift | 1
-	b.touched = append(b.touched, slot)
+}
+
+// settle folds the pending log into the packed epoch|count words in
+// activation order: an in-window word adds 1, a stale one is restamped
+// to this window with count 1 and its slot appended to touched. The
+// result is exactly what charging each ACT on the spot would leave,
+// touched order included. Every reader of the counters calls it first.
+func (b *Bank) settle() {
+	for _, slot := range b.pending {
+		v := b.slots[slot]
+		if v>>epochShift == b.epoch {
+			b.slots[slot] = v + 1
+			continue
+		}
+		b.slots[slot] = b.epoch<<epochShift | 1
+		b.touched = append(b.touched, slot)
+	}
+	b.pending = b.pending[:0]
 }
 
 // Precharge closes the row buffer.
@@ -541,6 +575,7 @@ func (b *Bank) DisplacedRows() int {
 // bump — every count stamped by the old epoch now reads as zero without
 // touching a single slot — plus truncating the touched list.
 func (b *Bank) StartNewWindow() {
+	b.settle()
 	b.epoch++
 	if b.epoch == epochLimit { // stamp wrap: old stamps would alias, clear them
 		clearSlots(b.slots)
@@ -558,6 +593,7 @@ func (b *Bank) WindowACTs() uint64 { return b.TotalACTs - b.windowStartACTs }
 // activation count reached trh in the current window — the slots whose
 // neighbours would have suffered Row Hammer bit flips.
 func (b *Bank) VictimSlots(trh uint32) []RowID {
+	b.settle()
 	var out []RowID
 	for _, slot := range b.touched {
 		if b.slots[slot]&countMask >= trh {

@@ -1,6 +1,9 @@
 package dram
 
 import (
+	"fmt"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -531,5 +534,177 @@ func TestRecycledPermutationMapsAreIdentity(t *testing.T) {
 		b.SwapContents(7, 8)
 		b.SwapContents(7, 8)
 		b.recycle()
+	}
+}
+
+// refBank is a map-based oracle for one bank's refresh-window counts.
+type refBank struct {
+	counts map[RowID]uint32
+	order  []RowID // slots in order of first activation this window
+	acts   uint64
+}
+
+func (r *refBank) act(slot RowID) {
+	if r.counts[slot] == 0 {
+		r.order = append(r.order, slot)
+	}
+	r.counts[slot]++
+	r.acts++
+}
+
+func (r *refBank) roll() {
+	r.counts = map[RowID]uint32{}
+	r.order = r.order[:0]
+	r.acts = 0
+}
+
+// checkBank compares every counter reader of b against the oracle.
+// act records one more activation in both before each reader, so every
+// reader meets a pending log it must settle itself.
+func checkBank(t *testing.T, where string, b *Bank, r *refBank, rng *stats.RNG, act func()) {
+	t.Helper()
+	act()
+	if got := b.WindowACTs(); got != r.acts {
+		t.Fatalf("%s: WindowACTs = %d, want %d", where, got, r.acts)
+	}
+	for i := 0; i < 4; i++ {
+		act()
+		slot := RowID(rng.Intn(b.rows))
+		if len(r.order) > 0 && i%2 == 0 {
+			slot = r.order[rng.Intn(len(r.order))]
+		}
+		if got := b.ACTCount(slot); got != r.counts[slot] {
+			t.Fatalf("%s: ACTCount(%d) = %d, want %d", where, slot, got, r.counts[slot])
+		}
+	}
+	act()
+	var maxC uint32
+	var maxS RowID
+	for _, s := range r.order { // first slot to reach the maximum wins
+		if r.counts[s] > maxC {
+			maxC, maxS = r.counts[s], s
+		}
+	}
+	if c, s := b.MaxWindowACT(); c != maxC || s != maxS {
+		t.Fatalf("%s: MaxWindowACT = %d@%d, want %d@%d", where, c, s, maxC, maxS)
+	}
+	for _, g := range []int{128, 7} {
+		act()
+		sums := map[int]uint32{}
+		var best uint32
+		for s, c := range r.counts {
+			sums[int(s)/g] += c
+			best = max(best, sums[int(s)/g])
+		}
+		if got := b.MaxGroupACT(g); got != best {
+			t.Fatalf("%s: MaxGroupACT(%d) = %d, want %d", where, g, got, best)
+		}
+	}
+	act()
+	trh := uint32(rng.Intn(8) + 1)
+	var want []RowID
+	for s, c := range r.counts {
+		if c >= trh {
+			want = append(want, s)
+		}
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	if got := b.VictimSlots(trh); !slices.Equal(got, want) {
+		t.Fatalf("%s: VictimSlots(%d) = %v, want %v", where, trh, got, want)
+	}
+}
+
+// TestDeferredCountsMatchReference interleaves activations with
+// mid-window reads of every counter reader, across window rolls, an
+// epoch wrap, Memory.Recycle and reuse of the recycled rank states, and
+// checks each read against a map-based counter. Windows run past
+// pendingLimit activations per bank, so logs also settle on their own.
+func TestDeferredCountsMatchReference(t *testing.T) {
+	geo := config.Geometry{Channels: 1, RanksPerCh: 2, BanksPerRnk: 2, RowsPerBank: 512, RowBytes: 8192, LineBytes: 64}
+	tm := testTiming()
+	rng := stats.NewRNG(31)
+	m := NewMemory(geo, tm)
+	var now Cycles
+	for gen := 0; gen < 3; gen++ {
+		refs := make([]refBank, m.NumBanks())
+		for i := range refs {
+			refs[i].roll()
+		}
+		access := func(i int, slot RowID) {
+			now += tm.TRC
+			m.Bank(i).Access(slot, slot%3 == 0, now, &tm)
+			refs[i].act(slot)
+		}
+		poke := func(i int) func() {
+			return func() { access(i, RowID(rng.Intn(16))) }
+		}
+		windows := 20
+		if gen == 1 {
+			windows = epochLimit + 10 // every bank's epoch wraps once
+		}
+		for w := 0; w < windows; w++ {
+			acts := rng.Intn(40)
+			if w%7 == 0 {
+				acts = 6 * pendingLimit // ~1.5 logs per bank
+			}
+			for a := 0; a < acts; a++ {
+				i := rng.Intn(m.NumBanks())
+				slot := RowID(rng.Intn(geo.RowsPerBank))
+				if rng.Intn(2) == 0 {
+					slot = RowID(rng.Intn(12)) // hot slots reach VictimSlots' thresholds
+				}
+				access(i, slot)
+				if rng.Intn(500) == 0 {
+					checkBank(t, fmt.Sprintf("gen %d window %d mid", gen, w), m.Bank(i), &refs[i], rng, poke(i))
+				}
+			}
+			var wantMax uint32
+			for i := range refs {
+				if n := len(m.Bank(i).pending); n >= pendingLimit {
+					t.Fatalf("gen %d window %d: bank %d holds %d pending activations, limit %d", gen, w, i, n, pendingLimit)
+				}
+				for _, c := range refs[i].counts {
+					wantMax = max(wantMax, c)
+				}
+			}
+			if c, _, _ := m.MaxWindowACT(); c != wantMax {
+				t.Fatalf("gen %d window %d: Memory.MaxWindowACT = %d, want %d", gen, w, c, wantMax)
+			}
+			for i := range refs {
+				checkBank(t, fmt.Sprintf("gen %d window %d end bank %d", gen, w, i), m.Bank(i), &refs[i], rng, poke(i))
+			}
+			// Leave unsettled activations behind for the roll (and, in
+			// the last window, for Recycle).
+			for a := 0; a < 50; a++ {
+				i := rng.Intn(m.NumBanks())
+				now += tm.TRC
+				m.Bank(i).Access(RowID(a%9), false, now, &tm)
+			}
+			if w < windows-1 {
+				m.StartNewWindow()
+				for i := range refs {
+					refs[i].roll()
+				}
+			}
+		}
+		states := slices.Clone(m.ranks)
+		m.Recycle()
+		for r, st := range states {
+			for i := range st.pending {
+				if len(st.pending[i]) != 0 || len(st.touched[i]) != 0 {
+					t.Fatalf("gen %d: rank %d bank %d recycled with %d pending, %d touched entries",
+						gen, r, i, len(st.pending[i]), len(st.touched[i]))
+				}
+			}
+		}
+		// Rebuild from exactly the recycled states (the pool may hand
+		// out others), forcing one bank's resume epoch to wrap.
+		states[1].bankEpoch[0] = epochLimit - 1
+		m = &Memory{geo: geo, timing: tm, banks: make([]*Bank, len(states)*geo.BanksPerRnk), ranks: states}
+		for r, st := range states {
+			for i := 0; i < geo.BanksPerRnk; i++ {
+				m.banks[r*geo.BanksPerRnk+i] = bankFromState(st, i)
+			}
+		}
 	}
 }

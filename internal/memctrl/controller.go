@@ -36,6 +36,11 @@ type Controller struct {
 	mit core.Mitigation
 	ts  int // swap threshold T_S; 0 disables mitigation
 
+	// skipTrack is set for a Misra-Gries baseline (T_S = 0): its counts
+	// are never compared and it never adds DRAM traffic, so recording
+	// ACTs in it could not change the run.
+	skipTrack bool
+
 	busFree     []Cycles // per-channel data bus availability
 	nextRefresh []Cycles // per-(channel,rank) refresh deadline
 
@@ -58,14 +63,6 @@ type Controller struct {
 // tracker, since they are not ACT commands).
 func (c *Controller) SetOpenPage(open bool) { c.openPage = open }
 
-// Recycle returns pooled tracker resources once a run's statistics have
-// been extracted. The controller must not be used afterwards.
-func (c *Controller) Recycle() {
-	if r, ok := c.trk.(interface{ Recycle() }); ok {
-		r.Recycle()
-	}
-}
-
 // New returns a controller over mem using the given tracker and
 // mitigation. ts is the swap threshold (T_RH / swap rate); pass 0 for an
 // unprotected baseline.
@@ -77,11 +74,13 @@ func (c *Controller) Recycle() {
 func New(mem *dram.Memory, trk tracker.Tracker, mit core.Mitigation, ts int, pin PinFunc) *Controller {
 	g := mem.Geometry()
 	nRanks := g.Channels * g.RanksPerCh
+	_, mg := trk.(*tracker.MisraGries)
 	c := &Controller{
 		mem:             mem,
 		trk:             trk,
 		mit:             mit,
 		ts:              ts,
+		skipTrack:       ts == 0 && mg,
 		busFree:         make([]Cycles, g.Channels),
 		nextRefresh:     make([]Cycles, nRanks),
 		pin:             pin,
@@ -133,7 +132,7 @@ func (c *Controller) Access(loc dram.Location, write bool, now Cycles) Cycles {
 
 	// Tracker observes the logical row's activation (row-buffer hits
 	// issue no ACT command and are therefore not tracked).
-	if rowHit {
+	if rowHit || c.skipTrack {
 		return done
 	}
 	count, extra := c.trk.RecordACT(loc.BankIdx, loc.Row)

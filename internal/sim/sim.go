@@ -343,7 +343,6 @@ func Run(w trace.Workload, sys config.System, opt Options) (*Result, error) {
 	// zeroing.
 	mem.Recycle()
 	llc.Recycle()
-	ctrl.Recycle()
 	return res, nil
 }
 

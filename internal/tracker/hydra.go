@@ -139,7 +139,9 @@ func (h *Hydra) ResetRow(bankIdx int, row int32) {
 	b.rowMem[row] = 0
 }
 
-// Reset implements Tracker.
+// Reset implements Tracker. The maps are cleared in place, keeping their
+// buckets for the next window; evictRCC's victim is the unique oldest
+// lru stamp, so map iteration order never reaches a result.
 func (h *Hydra) Reset() {
 	for i := range h.banks {
 		b := &h.banks[i]
@@ -147,8 +149,8 @@ func (h *Hydra) Reset() {
 			b.gcount[g] = 0
 			b.perRow[g] = false
 		}
-		b.rowMem = make(map[int32]int)
-		b.rcc = make(map[int32]rccEntry)
+		clear(b.rowMem)
+		clear(b.rcc)
 	}
 }
 

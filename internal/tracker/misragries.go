@@ -1,6 +1,6 @@
 package tracker
 
-import "sync"
+import "math/bits"
 
 // MisraGries is a per-bank frequent-item tracker with the Space-Saving
 // eviction rule, the practical realization of the Misra-Gries guarantee
@@ -19,15 +19,6 @@ func NewMisraGries(numBanks, capacity int) *MisraGries {
 		capacity = 1
 	}
 	return &MisraGries{banks: make([]ssBank, numBanks), cap: capacity}
-}
-
-// Recycle returns the per-bank row-index arrays to a package pool so the
-// next simulation run skips their allocation and zeroing. The tracker
-// must not be used afterwards.
-func (t *MisraGries) Recycle() {
-	for i := range t.banks {
-		t.banks[i].recycle()
-	}
 }
 
 // Name implements Tracker.
@@ -76,13 +67,14 @@ func (t *MisraGries) Count(bankIdx int, row int32) int {
 // same victims as the previous container/heap implementation, keeping
 // simulation results bit-identical.
 //
-// Row membership (ids) is a direct array indexed by row number rather
-// than a hash map: one update per DRAM activation made map hashing a
-// visible profile cost. The array stores node id + 1 (0 = absent), is
-// grown on demand to cover the largest row seen, and its nonzero
-// entries are at all times exactly the resident rows (evict and remove
-// zero the departing row's entry immediately), which is what lets
-// recycle return it to the pool after zeroing at most cap entries.
+// Row membership (index) is a small open-addressed hash table sized to
+// the capacity, not to the bank: with one update per DRAM activation,
+// map hashing is a visible profile cost, and a direct row-indexed
+// array (128K entries per bank) would miss the host cache every time.
+// The table holds a power of two >= 2x capacity slots (a few KB), is
+// allocated when the bank first records, probes linearly and deletes
+// by backward shift, so it never accumulates tombstones and its
+// occupied slots are at all times exactly the resident rows.
 // counts mirrors each heap position's count (counts[i] ==
 // nodes[heapArr[i]].count at all times): the sift comparisons then read
 // one contiguous array instead of chasing heapArr into nodes — two
@@ -92,63 +84,77 @@ type ssBank struct {
 	heapArr []int32   // heap position -> node id
 	counts  []int32   // heap position -> that node's count (mirror)
 	pos     []int32   // node id -> heap position
-	ids     []int32   // row -> node id + 1, 0 = absent
+	index   []ssSlot  // open-addressed row -> node id table
+	shift   uint8     // 32 - log2(len(index)), for hashing
 }
 
-// idsPool recycles the row-index arrays across trackers; pooled slices
-// are fully zero.
-var idsPool sync.Pool
+// ssSlot is one index table slot: a resident row and its node id + 1
+// (0 = empty slot).
+type ssSlot struct {
+	row int32
+	id1 int32
+}
+
+// home returns row's preferred slot: Fibonacci hashing spreads the
+// clustered row numbers of real traces across the table.
+func (b *ssBank) home(row int32) int {
+	return int(uint32(row) * 0x9e3779b9 >> b.shift)
+}
+
+// find returns the index slot holding row, or the empty slot where the
+// probe for it ended.
+func (b *ssBank) find(row int32) (int, bool) {
+	mask := len(b.index) - 1
+	for i := b.home(row); ; i = (i + 1) & mask {
+		s := b.index[i]
+		if s.id1 == 0 {
+			return i, false
+		}
+		if s.row == row {
+			return i, true
+		}
+	}
+}
 
 func (b *ssBank) lookup(row int32) (int32, bool) {
-	if int(row) < len(b.ids) {
-		if v := b.ids[row]; v != 0 {
-			return v - 1, true
-		}
+	if b.index == nil {
+		return 0, false
+	}
+	if i, ok := b.find(row); ok {
+		return b.index[i].id1 - 1, true
 	}
 	return 0, false
 }
 
+// setID maps row to node id, inserting the row if it is absent.
 func (b *ssBank) setID(row, id int32) {
-	if int(row) >= len(b.ids) {
-		b.grow(row)
-	}
-	b.ids[row] = id + 1
+	i, _ := b.find(row)
+	b.index[i] = ssSlot{row: row, id1: id + 1}
 }
 
-// grow extends ids to cover row, preferring a pooled array. The
-// outgrown array is dropped rather than pooled: it holds nonzero
-// entries for this bank's residents, and only fully-zero arrays may
-// enter the pool.
-func (b *ssBank) grow(row int32) {
-	if v, ok := idsPool.Get().(*[]int32); ok {
-		if a := *v; cap(a) > int(row) {
-			a = a[:cap(a)]
-			copy(a, b.ids)
-			b.ids = a
-			return
+// unindex deletes a resident row by backward shift: each later entry
+// of the probe run moves into the hole unless its home lies cyclically
+// in (hole, entry], where moving it would put it before its home.
+func (b *ssBank) unindex(row int32) {
+	mask := len(b.index) - 1
+	hole, _ := b.find(row)
+	for j := (hole + 1) & mask; b.index[j].id1 != 0; j = (j + 1) & mask {
+		if h := b.home(b.index[j].row); (j-h)&mask >= (j-hole)&mask {
+			b.index[hole] = b.index[j]
+			hole = j
 		}
-		idsPool.Put(v)
 	}
-	n := 1 << 10
-	for n <= int(row) {
+	b.index[hole] = ssSlot{}
+}
+
+// init allocates the index on the bank's first record.
+func (b *ssBank) init(capacity int) {
+	n := 2 // a power of two >= 2*capacity, so probes stay short
+	for n < 2*capacity {
 		n <<= 1
 	}
-	a := make([]int32, n)
-	copy(a, b.ids)
-	b.ids = a
-}
-
-// recycle zeroes the resident rows' index entries and pools the array.
-func (b *ssBank) recycle() {
-	if len(b.ids) == 0 {
-		return
-	}
-	for i := range b.nodes {
-		b.ids[b.nodes[i].row] = 0
-	}
-	ids := b.ids
-	b.ids = nil
-	idsPool.Put(&ids)
+	b.index = make([]ssSlot, n)
+	b.shift = uint8(32 - bits.TrailingZeros(uint(n)))
 }
 
 type ssEntry struct {
@@ -205,7 +211,12 @@ func (b *ssBank) fix(i int32) {
 }
 
 func (b *ssBank) record(row int32, capacity int) int {
-	if id, ok := b.lookup(row); ok {
+	if b.index == nil {
+		b.init(capacity)
+	}
+	slot, ok := b.find(row)
+	if ok {
+		id := b.index[slot].id1 - 1
 		c := b.nodes[id].count + 1
 		b.nodes[id].count = c
 		p := b.pos[id]
@@ -219,15 +230,16 @@ func (b *ssBank) record(row int32, capacity int) int {
 		b.heapArr = append(b.heapArr, id)
 		b.counts = append(b.counts, 1)
 		b.pos = append(b.pos, id)
-		b.setID(row, id)
+		b.index[slot] = ssSlot{row: row, id1: id + 1}
 		b.up(id)
 		return 1
 	}
 	// Space-Saving: replace the minimum entry; the newcomer inherits
-	// min+1 (an overestimate bounded by the evicted count).
+	// min+1 (an overestimate bounded by the evicted count). Deleting the
+	// victim's row may shift entries, so the newcomer probes afresh.
 	id := b.heapArr[0]
 	min := &b.nodes[id]
-	b.ids[min.row] = 0
+	b.unindex(min.row)
 	min.row = row
 	min.count++
 	c := min.count
@@ -242,7 +254,7 @@ func (b *ssBank) remove(row int32) {
 	if !ok {
 		return
 	}
-	b.ids[row] = 0
+	b.unindex(row)
 	// Detach from the heap (container/heap.Remove semantics: move the
 	// last element into the hole, then fix).
 	n := int32(len(b.heapArr)) - 1
@@ -263,16 +275,14 @@ func (b *ssBank) remove(row int32) {
 		b.nodes[id] = b.nodes[last]
 		b.heapArr[b.pos[last]] = id
 		b.pos[id] = b.pos[last]
-		b.ids[b.nodes[id].row] = id + 1
+		b.setID(b.nodes[id].row, id)
 	}
 	b.nodes = b.nodes[:last]
 	b.pos = b.pos[:last]
 }
 
 func (b *ssBank) clear() {
-	for i := range b.nodes {
-		b.ids[b.nodes[i].row] = 0
-	}
+	clear(b.index)
 	b.nodes = b.nodes[:0]
 	b.heapArr = b.heapArr[:0]
 	b.counts = b.counts[:0]

@@ -1,6 +1,7 @@
 package tracker
 
 import (
+	"container/heap"
 	"testing"
 	"testing/quick"
 
@@ -91,7 +92,7 @@ func TestMisraGriesHeapInvariant(t *testing.T) {
 			if b.pos[b.heapArr[i]] != int32(i) {
 				return false
 			}
-			if b.ids[at(i).row] != b.heapArr[i]+1 {
+			if id, ok := b.lookup(at(i).row); !ok || id != b.heapArr[i] {
 				return false
 			}
 		}
@@ -232,6 +233,209 @@ func FuzzHydraInertBelowGroupThreshold(f *testing.F) {
 			if extra != 0 || count != ref[k] {
 				t.Fatalf("ACT %d (bank %d row %d) with every group below gt %d: (count %d, extra %d), want (%d, 0)",
 					i/2, bank, row, gt, count, extra, ref[k])
+			}
+		}
+	})
+}
+
+// refSpaceSaving is the Misra-Gries oracle: Space-Saving over
+// container/heap, with a map[int32]int32 row -> heap position index.
+// MisraGries must evict the same victims, so the reference keeps the
+// heap operations container/heap defines (Push, Fix, Remove), which
+// the hand-rolled sift replicates swap for swap.
+type refSpaceSaving struct {
+	entries []ssEntry
+	index   map[int32]int32
+}
+
+func (r *refSpaceSaving) Len() int           { return len(r.entries) }
+func (r *refSpaceSaving) Less(i, j int) bool { return r.entries[i].count < r.entries[j].count }
+func (r *refSpaceSaving) Swap(i, j int) {
+	r.entries[i], r.entries[j] = r.entries[j], r.entries[i]
+	r.index[r.entries[i].row] = int32(i)
+	r.index[r.entries[j].row] = int32(j)
+}
+func (r *refSpaceSaving) Push(x any) {
+	e := x.(ssEntry)
+	r.index[e.row] = int32(len(r.entries))
+	r.entries = append(r.entries, e)
+}
+func (r *refSpaceSaving) Pop() any {
+	e := r.entries[len(r.entries)-1]
+	r.entries = r.entries[:len(r.entries)-1]
+	delete(r.index, e.row)
+	return e
+}
+
+func (r *refSpaceSaving) record(row int32, capacity int) int {
+	if i, ok := r.index[row]; ok {
+		r.entries[i].count++
+		c := r.entries[i].count
+		heap.Fix(r, int(i))
+		return c
+	}
+	if len(r.entries) < capacity {
+		heap.Push(r, ssEntry{row: row, count: 1})
+		return 1
+	}
+	min := &r.entries[0]
+	delete(r.index, min.row)
+	min.row = row
+	min.count++
+	c := min.count
+	r.index[row] = 0
+	heap.Fix(r, 0)
+	return c
+}
+
+func (r *refSpaceSaving) remove(row int32) {
+	if i, ok := r.index[row]; ok {
+		heap.Remove(r, int(i))
+	}
+}
+
+func (r *refSpaceSaving) count(row int32) int {
+	if i, ok := r.index[row]; ok {
+		return r.entries[i].count
+	}
+	return 0
+}
+
+// checkIndex verifies the open-addressed index: it holds exactly the
+// resident rows, each mapped to its node and reachable from its home
+// slot without crossing an empty slot (what backward-shift deletion
+// must preserve).
+func checkIndex(t *testing.T, bank int, b *ssBank) {
+	t.Helper()
+	occupied := 0
+	mask := len(b.index) - 1
+	for i, s := range b.index {
+		if s.id1 == 0 {
+			continue
+		}
+		occupied++
+		for j := b.home(s.row); j != i; j = (j + 1) & mask {
+			if b.index[j].id1 == 0 {
+				t.Fatalf("bank %d: row %d at slot %d is cut off from its home %d by empty slot %d", bank, s.row, i, b.home(s.row), j)
+			}
+		}
+		if id := s.id1 - 1; int(id) >= len(b.nodes) || b.nodes[id].row != s.row {
+			t.Fatalf("bank %d: slot %d maps row %d to node %d, which is not that row", bank, i, s.row, id)
+		}
+	}
+	if occupied != len(b.nodes) {
+		t.Fatalf("bank %d: index holds %d rows, tracker %d", bank, occupied, len(b.nodes))
+	}
+}
+
+// mgOp is one tracker call of a fuzz input: kind 0-12 records the row,
+// 13-14 resets it, 15 resets every count.
+type mgOp struct {
+	kind, bank int
+	row        int32
+}
+
+// decodeMGOps decodes a fuzz input: a header of (banks 1-4, capacity
+// 1-200, row span 2^0..2^17), then 3-byte ops. An op's first byte holds
+// the bank (bits 0-1), the kind (bits 2-5) and the row's top bits (6-7).
+func decodeMGOps(data []byte) (banks, capacity int, ops []mgOp) {
+	if len(data) < 3 {
+		return 0, 0, nil
+	}
+	banks, capacity = int(data[0])%4+1, int(data[1])%200+1
+	span := 1 << (data[2] % 18)
+	for i := 3; i+2 < len(data); i += 3 {
+		b := data[i]
+		row := (int(b>>6)<<16 | int(data[i+1])<<8 | int(data[i+2])) % span
+		ops = append(ops, mgOp{kind: int(b>>2) & 15, bank: int(b&3) % banks, row: int32(row)})
+	}
+	return banks, capacity, ops
+}
+
+// wrapSeed builds an input over one bank of the given capacity (at
+// least 4) whose probe chain wraps: rows L1, L2 hash to the index's last
+// slot (so L2 lands in slot 0), Z to slot 0 (lands in 1) and O to slot 1
+// (lands in 2). Resetting L1 shifts the whole chain back across the
+// wrap; resetting Z must then leave O, already at its home, in place.
+// Every row is re-recorded after each deletion, a newcomer evicts the
+// minimum, and a final Reset empties the index.
+func wrapSeed(capacity int) []byte {
+	b := &ssBank{}
+	b.init(capacity)
+	homing := func(slot, k int) []int32 {
+		var rows []int32
+		for r := int32(0); len(rows) < k; r++ {
+			if b.home(r) == slot {
+				rows = append(rows, r)
+			}
+		}
+		return rows
+	}
+	last := homing(len(b.index)-1, 2)
+	l1, l2, z, o := last[0], last[1], homing(0, 1)[0], homing(1, 1)[0]
+	data := []byte{0, byte(capacity - 1), 17}
+	op := func(kind int, rows ...int32) {
+		for _, row := range rows {
+			data = append(data, byte(kind<<2)|byte(row>>16)<<6, byte(row>>8), byte(row))
+		}
+	}
+	op(0, l1, l2, z, o, l1, l2, z, o)
+	op(13, l1)
+	op(0, l2, z, o, l1)
+	op(13, z)
+	op(0, o, l2, l1, z)
+	op(0, homing(2, 1)[0], homing(len(b.index)-1, 3)[2])
+	op(15, 0)
+	op(0, o, l2)
+	return data
+}
+
+// FuzzMisraGriesMatchesReference drives MisraGries and refSpaceSaving
+// with the same RecordACT/ResetRow/Reset sequence: every returned count
+// and every final Count must match, and the touched bank's index must
+// be exact after every call.
+func FuzzMisraGriesMatchesReference(f *testing.F) {
+	f.Add([]byte{1, 7, 5, 0, 0, 1, 1, 0, 2, 0, 0, 1, 52, 0, 1, 0, 0, 3, 60, 0, 0})
+	f.Add([]byte{3, 199, 17, 0, 1, 2, 65, 255, 255, 130, 0, 7, 195, 128, 0})
+	f.Add(wrapSeed(4))
+	f.Add(wrapSeed(5))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		banks, capacity, ops := decodeMGOps(data)
+		if banks == 0 {
+			return
+		}
+		mg := NewMisraGries(banks, capacity)
+		ref := make([]refSpaceSaving, banks)
+		for i := range ref {
+			ref[i].index = map[int32]int32{}
+		}
+		type key struct {
+			bank int
+			row  int32
+		}
+		seen := map[key]bool{}
+		for n, op := range ops {
+			seen[key{op.bank, op.row}] = true
+			switch {
+			case op.kind <= 12:
+				got, extra := mg.RecordACT(op.bank, op.row)
+				if want := ref[op.bank].record(op.row, capacity); got != want || extra != 0 {
+					t.Fatalf("op %d: RecordACT(%d, %d) = (%d, %d), reference (%d, 0)", n, op.bank, op.row, got, extra, want)
+				}
+			case op.kind <= 14:
+				mg.ResetRow(op.bank, op.row)
+				ref[op.bank].remove(op.row)
+			default:
+				mg.Reset()
+				for i := range ref {
+					ref[i] = refSpaceSaving{index: map[int32]int32{}}
+				}
+			}
+			checkIndex(t, op.bank, &mg.banks[op.bank])
+		}
+		for k := range seen {
+			if got, want := mg.Count(k.bank, k.row), ref[k.bank].count(k.row); got != want {
+				t.Errorf("Count(%d, %d) = %d, reference %d", k.bank, k.row, got, want)
 			}
 		}
 	})
