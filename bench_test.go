@@ -276,10 +276,11 @@ var kernelBench struct {
 	serialCycleSecs   float64
 	warmCacheSecs     float64
 	workers           int
-	// simulatedRuns is how many of a timed matrix's 36 cells sim.Run
-	// simulated; the rest were derived from their baseline. Which cells
-	// derive depends on the cells alone, so every variant agrees.
-	simulatedRuns float64
+	// cells is how a timed matrix's 36 cells were resolved, per
+	// kernel. Which cells derive depends on the cells alone, but only
+	// event-kernel baselines record the tapes sim.Resume restarts
+	// cells from, so the cycle-stepped matrix simulates those in full.
+	cells map[sim.Kernel]report.CellStats
 }
 
 // timeQuickMatrix runs one untimed warm-up matrix (it fills the shared
@@ -287,9 +288,10 @@ var kernelBench struct {
 // set), then times b.N matrices through benchFigure, so every timed
 // iteration resolves all 36 cells (12 baselines + 24 mitigated runs)
 // afresh, regardless of b.N. It returns seconds per matrix and records
-// how many cells per matrix were simulated rather than derived from
-// their baseline (sim.Derive): writeKernelBench's throughput math
-// divides by those alone.
+// how the cells of one matrix were resolved: writeKernelBench's
+// throughput math divides the instructions the kernel actually
+// simulated — whole runs, and resumed runs after their checkpoint —
+// by the matrix time.
 func timeQuickMatrix(b *testing.B, popt report.PerfOptions) float64 {
 	b.Helper()
 	report.ResetRunMemo()
@@ -297,16 +299,26 @@ func timeQuickMatrix(b *testing.B, popt report.PerfOptions) float64 {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	before, _ := report.CellCounts()
+	before := report.CellCounts()
 	benchFigure(b, func() ([]report.PerfRow, error) { return report.Fig14(io.Discard, popt) })
-	after, _ := report.CellCounts()
+	after := report.CellCounts()
 	secs := b.Elapsed().Seconds() / float64(b.N)
-	runs := float64(after-before) / float64(b.N)
+	n := int64(b.N)
+	per := report.CellStats{
+		Simulated:    (after.Simulated - before.Simulated) / n,
+		Derived:      (after.Derived - before.Derived) / n,
+		Resumed:      (after.Resumed - before.Resumed) / n,
+		Instructions: (after.Instructions - before.Instructions) / n,
+	}
 	b.ReportMetric(secs, "s/matrix")
-	b.ReportMetric(runs, "sim-runs/matrix")
+	b.ReportMetric(float64(per.Simulated), "sim-runs/matrix")
+	b.ReportMetric(float64(per.Resumed), "resumed-runs/matrix")
 	if popt.CacheDir == "" { // a warm cache serves cells without simulating them
 		kernelBench.Lock()
-		kernelBench.simulatedRuns = runs
+		if kernelBench.cells == nil {
+			kernelBench.cells = map[sim.Kernel]report.CellStats{}
+		}
+		kernelBench.cells[popt.Sim.Kernel] = per
 		kernelBench.Unlock()
 	}
 	return secs
@@ -402,10 +414,12 @@ func writeKernelBench() {
 	}
 	// Simulated instructions per timed matrix: 4 cores x 150k for each
 	// of the 36 cells (12 baselines + 24 mitigated) that sim.Run
-	// simulated. timeQuickMatrix empties the memo before each timed
+	// simulated, plus what resumed cells simulated after their
+	// checkpoint. timeQuickMatrix empties the memo before each timed
 	// iteration, so every cell is resolved afresh at any b.N; cells
 	// derived from their baseline ran no kernel and are not counted.
-	matrixInstructions := kernelBench.simulatedRuns * 4 * 150_000
+	event, cycle := kernelBench.cells[sim.KernelEvent], kernelBench.cells[sim.KernelCycle]
+	matrixInstructions := float64(event.Instructions)
 	regimes, regimeCycles := measureRegimeBreakdown()
 	payload := map[string]any{
 		"benchmark":                 "QuickMatrix",
@@ -418,9 +432,10 @@ func writeKernelBench() {
 		"parallel_event_seconds":    kernelBench.parallelEventSecs,
 		"speedup":                   kernelBench.serialCycleSecs / kernelBench.parallelEventSecs,
 		"approx_sim_ips":            matrixInstructions / kernelBench.parallelEventSecs,
-		"approx_sim_ips_pre_reform": matrixInstructions / kernelBench.serialCycleSecs,
-		"simulated_runs":            kernelBench.simulatedRuns,
-		"derived_runs":              36 - kernelBench.simulatedRuns,
+		"approx_sim_ips_pre_reform": float64(cycle.Instructions) / kernelBench.serialCycleSecs,
+		"simulated_runs":            event.Simulated,
+		"derived_runs":              event.Derived,
+		"resumed_runs":              event.Resumed,
 		"hot_path":                  measureHotPaths(),
 	}
 	if kernelBench.serialEventSecs > 0 {

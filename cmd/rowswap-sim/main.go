@@ -9,7 +9,10 @@
 // proves its tracker stays inert (no row can reach the swap threshold,
 // or under Hydra no row group can reach the group threshold) is derived
 // from the baseline instead of simulated (sim.Derive), and the output
-// says so.
+// says so. Otherwise, when the baseline was simulated in this process
+// (-workers 1 with no cached baseline), the mitigated run restarts from
+// the baseline's last checkpoint before its tracker first acts
+// (sim.Resume), and the output names the checkpoint's cycle.
 // Use -no-cache to force re-simulation or -cache-dir to relocate the
 // cache.
 //
@@ -163,15 +166,24 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("baseline IPC: %.4f\n", rb.MeanIPC)
-	if rm.Derived() {
+	if rs := rm.Resume; rs != nil {
 		base := sys
 		base.Mitigation = config.Mitigation{}
-		bound := fmt.Sprintf("no row can reach T_S = %d", sys.Mitigation.TS())
-		if sys.Mitigation.Tracker == config.TrackerHydra {
-			bound = fmt.Sprintf("no %d-row group can reach Hydra's group threshold %d",
-				memctrl.HydraGroupRows, memctrl.HydraGroupThreshold(sys))
+		key := simcache.RunKey(w, base, opt)
+		switch rs.How {
+		case sim.ResumeRestart:
+			fmt.Printf("(mitigated result resumed from baseline run %.12s at cycle %d; tracker first acts at cycle %d)\n",
+				key, rs.Cycle, rs.FirstAct)
+		case sim.ResumeReplay:
+			fmt.Printf("(mitigated result derived from baseline run %.12s: its tracker never acts on the baseline's activations)\n", key)
+		default:
+			bound := fmt.Sprintf("no row can reach T_S = %d", sys.Mitigation.TS())
+			if sys.Mitigation.Tracker == config.TrackerHydra {
+				bound = fmt.Sprintf("no %d-row group can reach Hydra's group threshold %d",
+					memctrl.HydraGroupRows, memctrl.HydraGroupThreshold(sys))
+			}
+			fmt.Printf("(mitigated result derived from baseline run %.12s: %s)\n", key, bound)
 		}
-		fmt.Printf("(mitigated result derived from baseline run %.12s: %s)\n", simcache.RunKey(w, base, opt), bound)
 	}
 	printResult(rm, norm)
 }

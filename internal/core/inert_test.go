@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/config"
@@ -9,10 +10,13 @@ import (
 )
 
 // TestMitigationsInertBeforeFirstAggressor pins the contract sim.Derive
-// relies on (see the Mitigation doc): until its first OnAggressor, every
-// mitigation maps rows to themselves, schedules and performs no work,
-// and touches no bank — so a run whose tracker never crosses T_S is its
-// baseline, cycle for cycle.
+// and sim.Resume rely on (see the Mitigation doc): until its first
+// OnAggressor, every mitigation maps rows to themselves, schedules and
+// performs no work, and touches no bank — so a run whose tracker never
+// crosses T_S is its baseline, cycle for cycle. And its state depends
+// only on the OnWindowEnd calls it saw: a fresh mitigation that sees
+// just those equals one that was also ticked throughout, which is how
+// sim.Resume rebuilds a mitigation at a baseline checkpoint.
 func TestMitigationsInertBeforeFirstAggressor(t *testing.T) {
 	noUnswap := config.DefaultRRS(1200)
 	noUnswap.ImmediateUnswap = false
@@ -37,6 +41,7 @@ func TestMitigationsInertBeforeFirstAggressor(t *testing.T) {
 			window := mem.Timing().RefreshWindow
 			rows := sys.Geometry.RowsPerBank
 			var now Cycles
+			var windowEnds []Cycles
 			for w := 0; w < 4; w++ {
 				end := now + window
 				for ; now < end; now += 977 {
@@ -52,12 +57,23 @@ func TestMitigationsInertBeforeFirstAggressor(t *testing.T) {
 					}
 				}
 				mit.OnWindowEnd(now)
+				windowEnds = append(windowEnds, now)
 				if next := mit.NextWork(now); next != NoWork {
 					t.Fatalf("after window %d: NextWork = %d, want NoWork", w, next)
 				}
 			}
 			if s := mit.Stats(); s != (Stats{}) {
 				t.Errorf("Stats = %+v, want zero", s)
+			}
+			replayed, err := New(mem, sys, stats.NewRNG(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, end := range windowEnds {
+				replayed.OnWindowEnd(end)
+			}
+			if !reflect.DeepEqual(replayed, mit) {
+				t.Error("a fresh mitigation replaying only the window ends differs from the ticked one")
 			}
 			if n := mem.TotalACTs(); n != 0 {
 				t.Errorf("%d bank activations, want none", n)

@@ -57,7 +57,11 @@ type Stats struct {
 // Hydra, reaches DRAM) is therefore cycle-for-cycle its unprotected
 // baseline, which is what lets
 // sim.Derive build such a run's Result from the baseline's instead of
-// simulating it (TestMitigationsInertBeforeFirstAggressor pins this).
+// simulating it. Until then Tick also leaves the state unchanged, so an
+// inert mitigation's state is a function of the OnWindowEnd calls it
+// has seen: a fresh one given the same calls equals it, which is how
+// sim.Resume rebuilds one at a baseline checkpoint and runs on from
+// there (TestMitigationsInertBeforeFirstAggressor pins all of this).
 type Mitigation interface {
 	// Name identifies the mechanism.
 	Name() string

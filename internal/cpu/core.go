@@ -7,6 +7,9 @@
 package cpu
 
 import (
+	"slices"
+	"unsafe"
+
 	"repro/internal/config"
 	"repro/internal/trace"
 )
@@ -74,9 +77,11 @@ type Core struct {
 
 	// slab is the reusable record buffer fetch consumes by index;
 	// slabPos/slabLen delimit the unconsumed records of the last refill.
-	slab    []trace.Record
-	slabPos int
-	slabLen int
+	// consumed counts the records read from the stream so far.
+	slab     []trace.Record
+	slabPos  int
+	slabLen  int
+	consumed int64
 
 	rob      []robEntry
 	head     int
@@ -175,11 +180,64 @@ func (c *Core) loadRecord() {
 			panic("cpu: BatchStream.NextBatch returned no records for a non-empty slab")
 		}
 		c.slabPos, c.slabLen = 0, n
+		c.consumed += int64(n)
 	}
 	c.pending = c.slab[c.slabPos]
 	c.slabPos++
 	c.gapLeft = c.pending.Gap
 	c.havePend = true
+}
+
+// Snapshot is a core's complete state between two Ticks, except the
+// records of its slab, which Restore re-reads from the stream.
+type Snapshot struct {
+	c   Core       // scalar state; stream, issuer and buffers are nil
+	rob []robEntry // the occupied ring slots, head first
+}
+
+// Save captures the core's state in s, reusing s's buffers. The kernel
+// takes it between Ticks, where the core holds no reference into
+// shared state.
+func (c *Core) Save(s *Snapshot) {
+	s.c = *c
+	s.c.batch, s.c.issue, s.c.slab, s.c.rob = nil, nil, nil, nil
+	s.rob = slices.Grow(s.rob[:0], c.robSlots)
+	for k, i := 0, c.head; k < c.robSlots; k++ {
+		s.rob = append(s.rob, c.rob[i])
+		if i++; i == len(c.rob) {
+			i = 0
+		}
+	}
+}
+
+// SlabStart returns the stream position of the first record of the
+// snapshot's slab: a core restored from s must read its stream from
+// there.
+func (s *Snapshot) SlabStart() int64 { return s.c.consumed - int64(s.c.slabLen) }
+
+// Bytes returns the memory s holds.
+func (s *Snapshot) Bytes() int64 {
+	return int64(unsafe.Sizeof(*s)) + int64(cap(s.rob))*int64(unsafe.Sizeof(robEntry{}))
+}
+
+// Retired returns the instructions the core had retired when s was
+// taken.
+func (s *Snapshot) Retired() int64 { return s.c.retired }
+
+// Restore puts c in the state s captured, so that ticking c continues
+// the captured core cycle for cycle. c must be fresh from NewCore with
+// the captured core's id, configuration and budget, over the same
+// stream positioned at s.SlabStart().
+func (c *Core) Restore(s Snapshot) {
+	batch, issue, slab, rob := c.batch, c.issue, c.slab, c.rob
+	*c = s.c
+	c.batch, c.issue, c.slab, c.rob = batch, issue, slab, rob
+	for k, e := range s.rob {
+		c.rob[(c.head+k)%len(c.rob)] = e
+	}
+	for n := 0; n < c.slabLen; {
+		n += c.batch.NextBatch(c.slab[n:c.slabLen])
+	}
 }
 
 // Done reports whether the core has retired its instruction budget.

@@ -400,6 +400,14 @@ const pendingLimit = 1 << 10
 // logging it; settle applies it before any read.
 func (b *Bank) recordACT(slot RowID) {
 	b.TotalACTs++
+	b.ChargeWindowACT(slot)
+}
+
+// ChargeWindowACT charges one activation to the slot's Row Hammer
+// counter for the current window, without timing it or adding it to
+// TotalACTs: replaying a window's activation log this way rebuilds the
+// counters the window's activations left.
+func (b *Bank) ChargeWindowACT(slot RowID) {
 	b.pending = append(b.pending, slot)
 	if len(b.pending) == pendingLimit {
 		b.settle()

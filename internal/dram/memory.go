@@ -166,6 +166,33 @@ func (m *Memory) Recycle() {
 	}
 }
 
+// BankState is one bank's timing state and activation totals: all of
+// the bank but its Row Hammer counters and its row permutation.
+type BankState struct {
+	openRow                                  RowID
+	nextACT, busyUntil                       Cycles
+	totalACTs, totalRefresh, windowStartACTs uint64
+}
+
+// AppendState appends every bank's BankState to dst, in bank order.
+func (m *Memory) AppendState(dst []BankState) []BankState {
+	for _, b := range m.banks {
+		dst = append(dst, BankState{b.openRow, b.nextACT, b.busyUntil, b.TotalACTs, b.TotalRefresh, b.windowStartACTs})
+	}
+	return dst
+}
+
+// Restore sets every bank's timing state and activation totals from the
+// AppendState of a memory of the same geometry. Row Hammer counters are
+// rebuilt separately, by Bank.ChargeWindowACT.
+func (m *Memory) Restore(s []BankState) {
+	for i, b := range m.banks {
+		st := s[i]
+		b.openRow, b.nextACT, b.busyUntil = st.openRow, st.nextACT, st.busyUntil
+		b.TotalACTs, b.TotalRefresh, b.windowStartACTs = st.totalACTs, st.totalRefresh, st.windowStartACTs
+	}
+}
+
 // TotalACTs returns the cumulative number of activate commands issued.
 func (m *Memory) TotalACTs() uint64 {
 	var n uint64

@@ -56,7 +56,40 @@ type Controller struct {
 	openPage bool
 
 	stats Stats
+
+	// firstAct is the cycle of the first access at which the tracker
+	// reached DRAM or handed a row to the mitigation, -1 before it.
+	firstAct Cycles
 }
+
+// Snapshot is a controller's scheduling state and counters: the
+// per-channel bus and per-rank refresh deadlines, and Stats.
+type Snapshot struct {
+	busFree, nextRefresh []Cycles
+	stats                Stats
+}
+
+// Save captures the controller's scheduling state and counters in s,
+// reusing s's buffers.
+func (c *Controller) Save(s *Snapshot) {
+	s.busFree = append(s.busFree[:0], c.busFree...)
+	s.nextRefresh = append(s.nextRefresh[:0], c.nextRefresh...)
+	s.stats = c.stats
+}
+
+// Restore sets the scheduling state and counters from the Save of a
+// controller over the same geometry whose tracker had not acted yet.
+func (c *Controller) Restore(s Snapshot) {
+	copy(c.busFree, s.busFree)
+	copy(c.nextRefresh, s.nextRefresh)
+	c.stats = s.stats
+}
+
+// FirstAction returns the cycle of the first access at which the
+// tracker reached DRAM or crossed T_S, or -1 if it never has: up to
+// that access the run is its unprotected baseline (see
+// core.Mitigation).
+func (c *Controller) FirstAction() Cycles { return c.firstAct }
 
 // SetOpenPage switches demand accesses to an open-page policy: row
 // buffer hits skip the activation entirely (and are invisible to the
@@ -85,6 +118,7 @@ func New(mem *dram.Memory, trk tracker.Tracker, mit core.Mitigation, ts int, pin
 		nextRefresh:     make([]Cycles, nRanks),
 		pin:             pin,
 		trackerSlotBase: g.RowsPerBank - core.ReservedRows,
+		firstAct:        -1,
 	}
 	// Stagger refresh deadlines across ranks to avoid lockstep.
 	t := mem.Timing()
@@ -136,6 +170,9 @@ func (c *Controller) Access(loc dram.Location, write bool, now Cycles) Cycles {
 		return done
 	}
 	count, extra := c.trk.RecordACT(loc.BankIdx, loc.Row)
+	if c.firstAct < 0 && (extra > 0 || c.ts > 0 && count >= c.ts) {
+		c.firstAct = now
+	}
 	for i := 0; i < extra; i++ {
 		// Tracker metadata accesses hit the reserved counter region.
 		cslot := dram.RowID(c.trackerSlotBase + (int(loc.Row)+i)%core.ReservedRows)

@@ -38,16 +38,34 @@ type runEntry struct {
 // deterministic, so memoizing cannot change any normalized number.
 var runMemo sync.Map // runKey -> *runEntry
 
-// simulatedCells and derivedCells count, process-wide, the memoized
-// cells that ran sim.Run and those sim.Derive built from their
-// baseline; cells served by the persistent cache count as neither.
-var simulatedCells, derivedCells atomic.Int64
+// CellStats counts, process-wide, how the memoized matrix cells were
+// resolved. Cells served by the persistent cache count as none of
+// Simulated, Derived and Resumed.
+type CellStats struct {
+	// Simulated cells ran sim.Run; Derived ones were relabelled from
+	// their baseline (sim.Derive, or sim.Resume when the tracker never
+	// acts); Resumed ones restarted from a baseline checkpoint
+	// (sim.Resume).
+	Simulated, Derived, Resumed int64
+	// Instructions is how many budgeted instructions the simulated and
+	// resumed cells ran through the kernel: a resumed cell counts only
+	// those after its checkpoint.
+	Instructions int64
+}
 
-// CellCounts returns how many matrix cells this process has simulated
-// and how many it derived from their baseline (see sim.Derive). The
-// counts are cumulative; ResetRunMemo does not clear them.
-func CellCounts() (simulated, derived int64) {
-	return simulatedCells.Load(), derivedCells.Load()
+var cellStats struct {
+	simulated, derived, resumed, instructions atomic.Int64
+}
+
+// CellCounts returns how this process has resolved its matrix cells.
+// The counts are cumulative; ResetRunMemo does not clear them.
+func CellCounts() CellStats {
+	return CellStats{
+		Simulated:    cellStats.simulated.Load(),
+		Derived:      cellStats.derived.Load(),
+		Resumed:      cellStats.resumed.Load(),
+		Instructions: cellStats.instructions.Load(),
+	}
 }
 
 // ResetRunMemo drops every process-wide memoized cell result. It exists
@@ -61,9 +79,10 @@ func ResetRunMemo() {
 // runCell returns the cell's result, simulating it at most once per
 // process even when many matrix jobs race for it. A mitigated cell
 // first resolves its workload's baseline (every matrix row needs it
-// anyway) and is derived from it when sim.Derive can prove the two runs
-// identical. The persistent cache, when enabled, additionally carries
-// results across process invocations.
+// anyway) and is derived from it, or resumed from one of its
+// checkpoints, when sim.Resume can. The persistent cache, when enabled,
+// additionally carries results across process invocations, resumed
+// ones included (simcache.ResumeCached).
 func runCell(c MatrixCell, opt sim.Options, cache *simcache.Cache) (*sim.Result, error) {
 	key := runKey{workload: c.Workload.Name, sys: c.System, opt: opt.Normalized(c.System)}
 	e, _ := runMemo.LoadOrStore(key, &runEntry{})
@@ -73,17 +92,24 @@ func runCell(c MatrixCell, opt sim.Options, cache *simcache.Cache) (*sim.Result,
 			base := c
 			base.System.Mitigation = config.Mitigation{}
 			if rb, err := runCell(base, opt, cache); err == nil {
-				if d, ok := sim.Derive(rb, c.System, opt); ok {
-					entry.res = d
-					derivedCells.Add(1)
+				if r, ok := simcache.ResumeCached(cache, rb, c.Workload, c.System, opt); ok {
+					entry.res = r
+					if r.Resume.How == sim.ResumeRestart {
+						cellStats.resumed.Add(1)
+						cellStats.instructions.Add(r.Resume.Instructions)
+					} else {
+						cellStats.derived.Add(1)
+					}
 					return
 				}
 			}
 		}
+		// A simulated baseline keeps a tape for its siblings' Resume.
 		var hit bool
-		entry.res, hit, entry.err = simcache.RunCached(cache, c.Workload, c.System, opt)
+		entry.res, hit, entry.err = simcache.RunCachedTaped(cache, c.Workload, c.System, opt)
 		if entry.err == nil && !hit {
-			simulatedCells.Add(1)
+			cellStats.simulated.Add(1)
+			cellStats.instructions.Add(entry.res.Instructions)
 		}
 	})
 	return entry.res, entry.err
@@ -187,17 +213,25 @@ func runMatrix(opt PerfOptions, configs map[string]config.Mitigation) ([]PerfRow
 				pending[wi]--
 				if pending[wi] == 0 {
 					if rb := results[wi*stride].res; rb != nil {
-						// Name the cells derived from this baseline
-						// instead of simulated (see runCell).
-						var derived []string
+						// Name the cells derived from this baseline or
+						// resumed from one of its checkpoints instead
+						// of simulated (see runCell).
+						var derived, resumed []string
 						for li, l := range plan.Labels {
-							if r := results[wi*stride+1+li].res; r != nil && r.Derived() {
+							switch r := results[wi*stride+1+li].res; {
+							case r == nil:
+							case r.Derived():
 								derived = append(derived, l)
+							case r.Resume != nil && r.Resume.How == sim.ResumeRestart:
+								resumed = append(resumed, fmt.Sprintf("%s at cycle %d", l, r.Resume.Cycle))
 							}
 						}
 						note := ""
 						if len(derived) > 0 {
 							note = "; derived from it: " + strings.Join(derived, ", ")
+						}
+						if len(resumed) > 0 {
+							note += "; resumed from it: " + strings.Join(resumed, ", ")
 						}
 						fmt.Fprintf(opt.Progress, "  %-14s done (baseline IPC %.3f%s)\n",
 							workloads[wi].Name, rb.MeanIPC, note)

@@ -138,11 +138,12 @@ func TestMatrixErrorPropagates(t *testing.T) {
 // invisible to the matrix's numbers: uncached rows, cold-cache rows, and
 // warm-cache rows must be bit-identical, and the warm pass must actually
 // be served from disk (the process-wide memo is reset between passes, so
-// only simcache can avoid re-simulation).
+// only simcache can avoid re-simulation). The workloads have cells
+// Derive refuses, which the cold pass resumes from a tape the warm
+// pass's cached baselines lack: the cache must serve those too.
 func TestMatrixWithPersistentCacheIdentical(t *testing.T) {
 	opts := matrixOpts(2)
-	opts.Workloads = []string{"gcc", "mcf"}
-	opts.Sim.Instructions = 40_000
+	opts.Workloads = []string{"povray", "gups"}
 
 	ResetRunMemo()
 	plain, err := runMatrix(opts, matrixConfigs)
@@ -152,14 +153,23 @@ func TestMatrixWithPersistentCacheIdentical(t *testing.T) {
 
 	opts.CacheDir = t.TempDir()
 	ResetRunMemo()
+	c0 := CellCounts()
 	cold, err := runMatrix(opts, matrixConfigs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	c1 := CellCounts()
+	if c1.Resumed == c0.Resumed {
+		t.Fatal("the cold pass resumed no cell; the warm pass proves nothing about resumed cells")
 	}
 	ResetRunMemo()
 	warm, err := runMatrix(opts, matrixConfigs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if c2 := CellCounts(); c2.Simulated != c1.Simulated || c2.Resumed != c1.Resumed {
+		t.Errorf("the warm pass simulated %d and resumed %d cells, want none",
+			c2.Simulated-c1.Simulated, c2.Resumed-c1.Resumed)
 	}
 	if !reflect.DeepEqual(plain, cold) {
 		t.Errorf("cold-cache rows differ from uncached rows:\n%v\nvs\n%v", cold, plain)
@@ -188,31 +198,38 @@ func TestMatrixCacheDirFailureFallsBack(t *testing.T) {
 }
 
 // TestMatrixDerivesQuietCells checks that runMatrix derives the cells
-// whose baseline proves no crossing (sim.Derive), says so in its
-// progress output, counts them apart from simulated cells, and still
-// produces the rows a plain sim.Run of every cell gives.
+// whose baseline proves no crossing (sim.Derive) and resumes the others
+// from a baseline checkpoint (sim.Resume), says so in its progress
+// output, counts them apart from simulated cells, and still produces
+// the rows a plain sim.Run of every cell gives.
 func TestMatrixDerivesQuietCells(t *testing.T) {
 	opts := matrixOpts(2)
-	opts.Workloads = []string{"povray", "gcc"}
-	opts.Sim.Instructions = 40_000
+	opts.Workloads = []string{"povray", "gups"}
 	var progress strings.Builder
 	opts.Progress = &progress
 
 	ResetRunMemo()
-	sim0, der0 := CellCounts()
+	c0 := CellCounts()
 	rows, err := runMatrix(opts, matrixConfigs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim1, der1 := CellCounts()
-	if der1 == der0 {
-		t.Fatalf("no cell derived; progress:\n%s", progress.String())
+	c1 := CellCounts()
+	simd, der, res := c1.Simulated-c0.Simulated, c1.Derived-c0.Derived, c1.Resumed-c0.Resumed
+	if der == 0 || res == 0 {
+		t.Fatalf("%d cells derived and %d resumed, want some of each; progress:\n%s", der, res, progress.String())
 	}
-	if got := (sim1 - sim0) + (der1 - der0); got != 6 {
-		t.Errorf("%d simulated + %d derived cells, want the matrix's 6", sim1-sim0, der1-der0)
+	if got := simd + der + res; got != 6 {
+		t.Errorf("%d simulated + %d derived + %d resumed cells, want the matrix's 6", simd, der, res)
 	}
-	if !strings.Contains(progress.String(), "derived from it: ") {
-		t.Errorf("progress does not name the derived cells:\n%s", progress.String())
+	if ins := c1.Instructions - c0.Instructions; ins <= simd*opts.Sim.Instructions*int64(opts.Cores) ||
+		ins >= (simd+res)*opts.Sim.Instructions*int64(opts.Cores) {
+		t.Errorf("%d instructions credited to %d simulated and %d resumed cells", ins, simd, res)
+	}
+	for _, want := range []string{"derived from it: ", "resumed from it: "} {
+		if !strings.Contains(progress.String(), want) {
+			t.Errorf("progress lacks %q:\n%s", want, progress.String())
+		}
 	}
 
 	plan := opts.Plan(matrixConfigs)

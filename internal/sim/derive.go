@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/memctrl"
 )
 
@@ -88,18 +87,5 @@ func Derive(base *Result, sys config.System, opt Options) (*Result, bool) {
 		}
 	}
 
-	d := *base
-	d.Mitigation = core.NameOf(m)
-	d.Tracker = m.Tracker.String()
-	d.TRH = m.TRH
-	d.Mit = core.Stats{}
-	d.PerCoreIPC = append([]float64(nil), base.PerCoreIPC...)
-	d.Windows = append([]BankWindow(nil), base.Windows...)
-	d.SimIPS = 0
-	d.Regimes = cpu.RegimeStats{}
-	d.Kernel = DerivedKernel
-	// A positive wall time keeps the derivation visible to cost
-	// accounting, which ignores non-positive observations.
-	d.WallSeconds = max(time.Since(start).Seconds(), 1e-9)
-	return &d, true
+	return relabel(base, m, start), true
 }

@@ -43,6 +43,7 @@ import (
 	"repro/internal/memctrl"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/internal/tracker"
 )
 
 // Kernel selects the simulation time-advance strategy.
@@ -164,6 +165,10 @@ type Result struct {
 	// kernel rather than the simulated machine — a cycle-stepped run
 	// reports only Ticks — so determinism checks must ignore it.
 	Regimes cpu.RegimeStats
+	// Resume is set on a Result that Resume built, and says how. Host
+	// instrumentation too: Run would have produced the same Result
+	// without it, and it is never serialized.
+	Resume *Resumption `json:"-"`
 }
 
 // BankWindow is one bank's activity in one refresh window: its hottest
@@ -182,6 +187,7 @@ type issuer struct {
 	llc  *cache.LLC
 	ctrl *memctrl.Controller
 	opt  Options
+	tape *tape // a taped baseline's issue log, nil otherwise
 }
 
 func rowKeyOf(loc dram.Location) uint64 {
@@ -208,7 +214,10 @@ func (p perRecordOnly) Next() trace.Record { return p.s.Next() }
 func (p perRecordOnly) Name() string       { return p.s.Name() }
 
 // Issue implements cpu.Issuer.
-func (is *issuer) Issue(_ int, rec trace.Record, now Cycles) Cycles {
+func (is *issuer) Issue(coreID int, rec trace.Record, now Cycles) Cycles {
+	if is.tape != nil {
+		is.tape.issues.add(uint8(coreID))
+	}
 	// The synthetic generator pre-decodes every address it composes
 	// (trace.Record.Loc); records from external text traces fall back
 	// to dram.DecodeAddr here. The two are interchangeable because
@@ -245,22 +254,95 @@ func (is *issuer) Issue(_ int, rec trace.Record, now Cycles) Cycles {
 
 // Run simulates the workload on the given system configuration.
 func Run(w trace.Workload, sys config.System, opt Options) (*Result, error) {
+	return run(w, sys, opt, false)
+}
+
+// RunTaped is Run that, when the run is an unprotected baseline, also
+// records a tape (see tape.go): Resume can then restart the run's
+// mitigated siblings part-way through. Only callers that resume in the
+// same process gain from it; the Result is Run's either way.
+func RunTaped(w trace.Workload, sys config.System, opt Options) (*Result, error) {
+	return run(w, sys, opt, true)
+}
+
+func run(w trace.Workload, sys config.System, opt Options, taped bool) (*Result, error) {
 	opt = opt.withDefaults(sys)
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
-	// Compress the refresh window and swap latencies (see package comment).
+	var tp *tape
+	if taped {
+		tp = newTape(w, sys, opt)
+	}
+	csys := compressed(sys, opt)
+	var trk tracker.Tracker
+	if tp != nil {
+		trk = actLog{tp}
+	} else {
+		trk = memctrl.NewTracker(csys, csys.Geometry)
+	}
+	m, err := build(w, csys, opt, trk, nil)
+	if err != nil {
+		return nil, err
+	}
+	if tp != nil {
+		m.tape = tp
+		m.is.tape = tp
+		m.ckptAt = tp.every
+	}
+
+	start := time.Now()
+	var now Cycles
+	if opt.Kernel == KernelCycle {
+		now, err = m.runCycleStepped(opt.MaxCycles)
+	} else {
+		now, err = m.runEventDriven(opt.MaxCycles, nil)
+	}
+	if err != nil {
+		m.recycle()
+		return nil, fmt.Errorf("sim: %s did not converge within %d cycles", w.Name, opt.MaxCycles)
+	}
+	wall := time.Since(start).Seconds()
+	res := m.result(w, csys, opt, now)
+	res.WallSeconds = wall
+	if wall > 0 {
+		res.SimIPS = float64(res.Instructions) / wall
+	}
+	if tp != nil {
+		tp.attach(res, m)
+	}
+	m.recycle()
+	return res, nil
+}
+
+// compressed returns sys with the refresh window and swap latencies
+// compressed as opt asks (see the package comment): the system every
+// component of a run is built for.
+func compressed(sys config.System, opt Options) config.System {
 	sys.Timing.RefreshWindow = opt.WindowNS
 	sys.SwapScale = opt.SwapLatencyScale
+	return sys
+}
 
+// streamSeed is the seed of core i's access stream.
+func streamSeed(opt Options, i int) uint64 {
+	return opt.Seed ^ uint64(i*2654435761+17)
+}
+
+// build assembles the machine a run of w simulates under sys (already
+// compressed) and normalized opt, with trk as the controller's tracker.
+// Core i reads its stream from record starts[i] on (from the first
+// record when starts is nil).
+func build(w trace.Workload, sys config.System, opt Options, trk tracker.Tracker, starts []int64) (*machine, error) {
 	rng := stats.NewRNG(opt.Seed)
 	mem := dram.NewMemory(sys.Geometry, dram.FromConfig(sys.Timing, sys.Core.ClockGHz))
 	llc := cache.New(sys.LLC, sys.Geometry.LinesPerRow())
 	mit, err := core.New(mem, sys, rng.Split())
 	if err != nil {
+		mem.Recycle()
+		llc.Recycle()
 		return nil, err
 	}
-	trk := memctrl.NewTracker(sys, sys.Geometry)
 
 	var ctrl *memctrl.Controller
 	pin := func(bankIdx int, row dram.RowID) {
@@ -280,6 +362,7 @@ func Run(w trace.Workload, sys config.System, opt Options) (*Result, error) {
 
 	is := &issuer{sys: sys, geo: sys.Geometry, llc: llc, ctrl: ctrl, opt: opt}
 	cores := make([]*cpu.Core, len(w.PerCore))
+	streams := make([]trace.Stream, len(w.PerCore))
 	for i, prof := range w.PerCore {
 		// Streams read through the process-wide memoized record cache:
 		// every run of the same (profile, geometry, seed) — each
@@ -287,77 +370,86 @@ func Run(w trace.Workload, sys config.System, opt Options) (*Result, error) {
 		// the same records, so sampling them once is pure savings. The
 		// differential oracle in batch_test.go forces this back to the
 		// legacy per-record generator and proves bit-identical Results.
-		seed := opt.Seed ^ uint64(i*2654435761+17)
 		var st trace.Stream
 		if forcePerRecordStream {
-			st = perRecordOnly{trace.NewGenerator(w.PerCore[i], sys.Geometry, seed)}
+			st = perRecordOnly{trace.NewGenerator(prof, sys.Geometry, streamSeed(opt, i))}
 		} else {
-			st = trace.NewSharedGenerator(prof, sys.Geometry, seed)
+			var at int64
+			if starts != nil {
+				at = starts[i]
+			}
+			st = trace.NewSharedGeneratorAt(prof, sys.Geometry, streamSeed(opt, i), at)
 		}
+		streams[i] = st
 		cores[i] = cpu.NewCore(i, sys.Core, st, is, opt.Instructions)
 	}
 
-	window := Cycles(opt.WindowNS * sys.Core.ClockGHz)
-	machine := &machine{cores: cores, ctrl: ctrl, mem: mem, llc: llc, window: window}
+	return &machine{
+		cores: cores, streams: streams, ctrl: ctrl, mem: mem, llc: llc, mit: mit, trk: trk, is: is,
+		window: Cycles(opt.WindowNS * sys.Core.ClockGHz),
+		ckptAt: never,
+	}, nil
+}
 
-	start := time.Now()
-	var now Cycles
-	var err2 error
-	if opt.Kernel == KernelCycle {
-		now, err2 = machine.runCycleStepped(opt.MaxCycles)
-	} else {
-		now, err2 = machine.runEventDriven(opt.MaxCycles)
-	}
-	if err2 != nil {
-		return nil, fmt.Errorf("sim: %s did not converge within %d cycles", w.Name, opt.MaxCycles)
-	}
-	wall := time.Since(start).Seconds()
-	machine.sampleWindow()
-
+// result assembles the Result of a run that ended at cycle now, host
+// instrumentation aside.
+func (m *machine) result(w trace.Workload, sys config.System, opt Options, now Cycles) *Result {
+	m.sampleWindow()
 	res := &Result{
 		Workload:     w.Name,
-		Mitigation:   mit.Name(),
+		Mitigation:   m.mit.Name(),
 		Tracker:      sys.Mitigation.Tracker.String(),
 		TRH:          sys.Mitigation.TRH,
-		PerCoreIPC:   make([]float64, len(cores)),
+		PerCoreIPC:   make([]float64, len(m.cores)),
 		Cycles:       now,
-		LLC:          llc.Stats(),
-		Ctrl:         ctrl.Stats(),
-		Mit:          mit.Stats(),
-		MaxWindowACT: machine.maxACT,
-		Windows:      machine.windows,
-		Instructions: opt.Instructions * int64(len(cores)),
-		WallSeconds:  wall,
+		LLC:          m.llc.Stats(),
+		Ctrl:         m.ctrl.Stats(),
+		Mit:          m.mit.Stats(),
+		MaxWindowACT: m.maxACT,
+		Windows:      m.windows,
+		Instructions: opt.Instructions * int64(len(m.cores)),
 		Kernel:       opt.Kernel.String(),
 	}
-	if wall > 0 {
-		res.SimIPS = float64(res.Instructions) / wall
-	}
-	for i, c := range cores {
+	for i, c := range m.cores {
 		res.PerCoreIPC[i] = c.IPC()
 		res.Regimes.Add(c.Regimes())
 	}
 	res.MeanIPC = stats.Mean(res.PerCoreIPC)
-	// All statistics have been copied out: return the pooled per-bank
-	// arrays and LLC metadata so the next Run skips their allocation and
-	// zeroing.
-	mem.Recycle()
-	llc.Recycle()
-	return res, nil
+	return res
 }
+
+// recycle returns the pooled per-bank arrays and LLC metadata once every
+// statistic has been copied out, so the next run skips their allocation
+// and zeroing. The machine must not be used afterwards.
+func (m *machine) recycle() {
+	m.mem.Recycle()
+	m.llc.Recycle()
+}
+
+// never is a deadline no run reaches.
+const never = Cycles(1<<63 - 1)
 
 // machine bundles the simulated components for the kernel loops.
 type machine struct {
-	cores  []*cpu.Core
-	ctrl   *memctrl.Controller
-	mem    *dram.Memory
-	llc    *cache.LLC
-	window Cycles
+	cores   []*cpu.Core
+	streams []trace.Stream // the cores' access streams
+	ctrl    *memctrl.Controller
+	mem     *dram.Memory
+	llc     *cache.LLC
+	mit     core.Mitigation
+	trk     tracker.Tracker
+	is      *issuer
+	window  Cycles
 
 	// maxACT and windows accumulate Result.MaxWindowACT and
 	// Result.Windows, one sampleWindow per window.
 	maxACT  uint32
 	windows []BankWindow
+
+	// tape records a baseline run for Resume, and ckptAt is the cycle
+	// of its next checkpoint (never without a tape).
+	tape   *tape
+	ckptAt Cycles
 }
 
 // sampleWindow records every bank's activity in the current refresh
@@ -405,6 +497,9 @@ func (m *machine) windowRoll(now Cycles, windowEnd *Cycles) bool {
 		return false
 	}
 	m.sampleWindow()
+	if m.tape != nil {
+		m.tape.marks = append(m.tape.marks, mark{cycle: now, acts: m.tape.acts.n})
+	}
 	m.ctrl.OnWindowEnd(now)
 	m.llc.UnpinAll()
 	*windowEnd += m.window
@@ -442,7 +537,11 @@ func (m *machine) runCycleStepped(maxCycles Cycles) (Cycles, error) {
 // cpu.Core.NextWork). Deadlines move only inside Tick/OnWindowEnd, so
 // the kernel stays cycle-for-cycle identical to runCycleStepped (see
 // TestEventKernelMatchesCycleStepped).
-func (m *machine) runEventDriven(maxCycles Cycles) (Cycles, error) {
+//
+// A run restored from a baseline checkpoint (from != nil) continues
+// from the checkpoint's kernel-iteration boundary; a taped run records
+// checkpoints at those boundaries.
+func (m *machine) runEventDriven(maxCycles Cycles, from *checkpoint) (Cycles, error) {
 	windowEnd := m.window
 	var now Cycles
 
@@ -453,8 +552,21 @@ func (m *machine) runEventDriven(maxCycles Cycles) (Cycles, error) {
 	coreDone := make([]bool, len(m.cores))
 	nDone := 0
 	var ctrlNext Cycles
+	if from != nil {
+		now, windowEnd, ctrlNext = from.now, from.windowEnd, from.ctrlNext
+		copy(coreNext, from.coreNext)
+		for i, c := range m.cores {
+			if c.Done() {
+				coreDone[i] = true
+				nDone++
+			}
+		}
+	}
 
 	for {
+		if now >= m.ckptAt {
+			m.checkpoint(now, windowEnd, ctrlNext, coreNext)
+		}
 		for i, c := range m.cores {
 			if coreNext[i] > now {
 				continue

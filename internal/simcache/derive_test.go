@@ -100,3 +100,42 @@ func TestNormalizedPerfDerives(t *testing.T) {
 		t.Errorf("hot hydra: the simulated run made no tracker DRAM access; pick a hotter case")
 	}
 }
+
+// TestNormalizedPerfStoresResumed checks that a serial NormalizedPerf
+// stores a mitigated run it resumed from its baseline's tape, with the
+// run's estimated cost, and that a later call, whose baseline comes
+// from the cache without a tape, is served that entry instead of
+// simulating.
+func TestNormalizedPerfStoresResumed(t *testing.T) {
+	w, sys, opt := testWorkload(t), testSys(), testOpts()
+	sys.Mitigation = config.DefaultRRS(512)
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, rm, err := NormalizedPerf(c, w, sys, opt, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rm.Resume == nil || rm.Resume.How != sim.ResumeRestart {
+		t.Fatalf("the cell was not resumed (%+v); pick a hotter case", rm.Resume)
+	}
+	if !c.Has(RunKey(w, sys, opt)) {
+		t.Fatal("the resumed run was not stored")
+	}
+	if s, ok := c.Costs().Seconds(CostKey(w, sys, opt)); !ok || s <= 0 {
+		t.Errorf("the resumed run's cost was not recorded: %v, %v", s, ok)
+	}
+	_, _, again, err := NormalizedPerf(c, w, sys, opt, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Resume != nil {
+		t.Errorf("the second call resumed again (%+v) instead of reading the stored run", again.Resume)
+	}
+	want := *stripHost(rm)
+	want.Resume = nil
+	if got := stripHost(again); !reflect.DeepEqual(got, &want) {
+		t.Errorf("the stored run differs from the resumed one:\n%+v\nvs\n%+v", got, &want)
+	}
+}

@@ -27,8 +27,20 @@ func RunKey(w trace.Workload, sys config.System, opt sim.Options) string {
 // instrumentation fields (WallSeconds, SimIPS), which describe the
 // original run. A nil cache degenerates to plain sim.Run.
 func RunCached(c *Cache, w trace.Workload, sys config.System, opt sim.Options) (*sim.Result, bool, error) {
+	return runCached(c, w, sys, opt, sim.Run)
+}
+
+// RunCachedTaped is RunCached simulating with sim.RunTaped, for callers
+// that go on to resume the baseline's mitigated siblings in this
+// process (ResumeCached). A hit carries no tape.
+func RunCachedTaped(c *Cache, w trace.Workload, sys config.System, opt sim.Options) (*sim.Result, bool, error) {
+	return runCached(c, w, sys, opt, sim.RunTaped)
+}
+
+func runCached(c *Cache, w trace.Workload, sys config.System, opt sim.Options,
+	run func(trace.Workload, config.System, sim.Options) (*sim.Result, error)) (*sim.Result, bool, error) {
 	if c == nil {
-		res, err := sim.Run(w, sys, opt)
+		res, err := run(w, sys, opt)
 		return res, false, err
 	}
 	key := RunKey(w, sys, opt)
@@ -36,7 +48,7 @@ func RunCached(c *Cache, w trace.Workload, sys config.System, opt sim.Options) (
 	if hit, err := c.Get(key, &cached); err == nil && hit {
 		return &cached, true, nil
 	}
-	res, err := sim.Run(w, sys, opt)
+	res, err := run(w, sys, opt)
 	if err != nil {
 		return nil, false, err
 	}
@@ -50,14 +62,36 @@ func RunCached(c *Cache, w trace.Workload, sys config.System, opt sim.Options) (
 	return res, false, nil
 }
 
+// ResumeCached is sim.Resume of the mitigated run of w under sys from
+// its baseline rb that, unless Derive's bound built the result, also
+// stores it like RunCached: a later process loads rb from the cache,
+// without the tape Resume needs, and finds the cell there instead. The
+// cost sidecar gets what simulating the cell costs, as sweeps do: the
+// resumed part as measured, plus the baseline's measured wall time
+// pro rata for the instructions before the checkpoint.
+func ResumeCached(c *Cache, rb *sim.Result, w trace.Workload, sys config.System, opt sim.Options) (*sim.Result, bool) {
+	r, ok := sim.Resume(rb, w, sys, opt)
+	if !ok || r.Resume.How == sim.ResumeBound || c == nil {
+		return r, ok
+	}
+	_ = c.Put(RunKey(w, sys, opt), r)
+	if r.Instructions > 0 {
+		skipped := float64(r.Instructions-r.Resume.Instructions) / float64(r.Instructions)
+		c.Costs().Record(CostKey(w, sys, opt), NormalizeCost(r.WallSeconds+skipped*rb.WallSeconds))
+	}
+	return r, ok
+}
+
 // NormalizedPerf mirrors sim.NormalizedPerf with both the unprotected
 // baseline and the mitigated run served through the cache. The
-// mitigated run is derived from the baseline when sim.Derive can prove
-// them identical, so the baseline comes first whenever it is cheap (a
-// cache hit) or parallel is false. Otherwise, when parallel is true, the
-// two simulate concurrently: they share no state (each builds its own
-// memory system and RNG from the options), so the values are identical
-// either way.
+// mitigated run is derived from the baseline, or resumed from one of
+// its checkpoints, when sim.Resume can, so the baseline comes first
+// whenever it is cheap (a cache hit) or parallel is false. A cached
+// baseline carries no tape, so only Derive's bound or a stored
+// mitigated result can spare the simulation then. Otherwise, when
+// parallel is true, the two simulate concurrently: they share no state
+// (each builds its own memory system and RNG from the options), so the
+// values are identical either way.
 func NormalizedPerf(c *Cache, w trace.Workload, sys config.System, opt sim.Options, parallel bool) (float64, *sim.Result, *sim.Result, error) {
 	base := baselineOf(sys)
 	var rb, rm *sim.Result
@@ -69,10 +103,10 @@ func NormalizedPerf(c *Cache, w trace.Workload, sys config.System, opt sim.Optio
 		}
 	}
 	if rb == nil && !parallel {
-		rb, _, errB = RunCached(c, w, base, opt)
+		rb, _, errB = RunCachedTaped(c, w, base, opt)
 	}
 	if rb != nil {
-		if d, ok := sim.Derive(rb, sys, opt); ok {
+		if d, ok := ResumeCached(c, rb, w, sys, opt); ok {
 			rm = d
 		} else {
 			rm, _, errM = RunCached(c, w, sys, opt)

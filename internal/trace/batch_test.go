@@ -110,6 +110,28 @@ func TestSharedStreamOverflowFallback(t *testing.T) {
 	}
 }
 
+// TestReserveCacheBytesKeepsStreamsShare checks that side reservations
+// (sim's tapes) together hold at most a quarter of the budget, and that
+// a released charge can be reserved again.
+func TestReserveCacheBytesKeepsStreamsShare(t *testing.T) {
+	defer resetStreamCacheForTest(512 << 20)
+	resetStreamCacheForTest(4 << 20)
+	if !ReserveCacheBytes(1 << 20) {
+		t.Fatal("a quarter of the budget was refused")
+	}
+	if ReserveCacheBytes(1) {
+		t.Fatal("a reservation past a quarter of the budget was granted")
+	}
+	if got := streamBudget.Load(); got != 3<<20 {
+		t.Fatalf("budget left %d, want %d", got, 3<<20)
+	}
+	ReleaseCacheBytes(1 << 20)
+	if !ReserveCacheBytes(1 << 20) {
+		t.Fatal("a released charge could not be reserved again")
+	}
+	ReleaseCacheBytes(1 << 20)
+}
+
 // TestBatchedAdapter checks that Batched wraps a per-record-only Stream
 // in a sequence-preserving NextBatch adapter, and passes BatchStreams
 // through unchanged.

@@ -20,14 +20,16 @@ import (
 // subsequent run consumes records with a bare memcpy.
 //
 // The cache is bounded by a global byte budget (default 512 MiB,
-// override with ROWSWAP_STREAM_CACHE_MB; 0 disables memoization). When
-// the budget is exhausted a reader transparently falls back to a private
-// generator: it regenerates (and discards) the prefix it already
-// consumed once, then continues live — bit-identical either way, because
-// the stream is deterministic in its key. Chunks are produced on demand,
-// so only prefixes actually consumed occupy budget, and entries are
-// never evicted: the working set of an evaluation is a fixed set of
-// stream prefixes, which is exactly what the budget caps.
+// override with ROWSWAP_STREAM_CACHE_MB; 0 disables memoization), which
+// also covers, up to a quarter of it, the baseline tapes sim keeps
+// beside the streams they index (ReserveCacheBytes). When the budget is exhausted a reader
+// transparently falls back to a private generator: it regenerates (and
+// discards) the prefix it already consumed once, then continues live —
+// bit-identical either way, because the stream is deterministic in its
+// key. Chunks are produced on demand, so only prefixes actually
+// consumed occupy budget, and entries are never evicted: the working
+// set of an evaluation is a fixed set of stream prefixes, which is
+// exactly what the budget caps.
 
 // streamChunkRecords is the memoization granularity. 4096 records
 // (~288 KiB) amortizes the copy-on-write append of the chunk index while
@@ -50,6 +52,10 @@ var (
 	// to fallback mode.
 	streamBudget atomic.Int64
 	budgetOnce   sync.Once
+	// sideBytes is what ReserveCacheBytes holds; sideLimit caps it at a
+	// quarter of the budget, so side state never takes the streams'
+	// share.
+	sideBytes, sideLimit atomic.Int64
 )
 
 func streamBudgetInit() {
@@ -61,6 +67,7 @@ func streamBudgetInit() {
 			}
 		}
 		streamBudget.Store(mb << 20)
+		sideLimit.Store(mb << 20 / 4)
 	})
 }
 
@@ -132,6 +139,13 @@ type sharedReader struct {
 // seed) keys share generated records; the sequence is bit-identical to
 // NewGenerator's for the same key.
 func NewSharedGenerator(prof Profile, geo config.Geometry, seed uint64) BatchStream {
+	return NewSharedGeneratorAt(prof, geo, seed, 0)
+}
+
+// NewSharedGeneratorAt is NewSharedGenerator positioned after the
+// stream's first pos records, without copying them: a reader resumed at
+// a record it consumed before continues exactly where it left off.
+func NewSharedGeneratorAt(prof Profile, geo config.Geometry, seed uint64, pos int64) BatchStream {
 	streamBudgetInit()
 	k := streamKey{prof: prof, geo: geo, seed: seed}
 	streamCacheMu.Lock()
@@ -141,7 +155,40 @@ func NewSharedGenerator(prof Profile, geo config.Geometry, seed uint64) BatchStr
 		streamCache[k] = e
 	}
 	streamCacheMu.Unlock()
-	return &sharedReader{c: e}
+	return &sharedReader{c: e, pos: pos}
+}
+
+// Memoized reports whether every record s has produced came from the
+// memoized stream cache: s is a NewSharedGenerator stream that has not
+// fallen back to a private generator.
+func Memoized(s Stream) bool {
+	r, ok := s.(*sharedReader)
+	return ok && r.priv == nil
+}
+
+// ReserveCacheBytes charges n bytes of memoized simulation state other
+// than stream chunks (sim's baseline tapes) to the stream cache's byte
+// budget. It reports false, charging nothing, when the budget cannot
+// cover n or when all such charges together would pass a quarter of
+// the budget; ReleaseCacheBytes returns a charge.
+func ReserveCacheBytes(n int64) bool {
+	streamBudgetInit()
+	if sideBytes.Add(n) > sideLimit.Load() {
+		sideBytes.Add(-n)
+		return false
+	}
+	if streamBudget.Add(-n) < 0 {
+		streamBudget.Add(n)
+		sideBytes.Add(-n)
+		return false
+	}
+	return true
+}
+
+// ReleaseCacheBytes returns n bytes charged by ReserveCacheBytes.
+func ReleaseCacheBytes(n int64) {
+	streamBudget.Add(n)
+	sideBytes.Add(-n)
 }
 
 func (s *sharedReader) Name() string { return s.c.key.prof.Name }
@@ -199,4 +246,5 @@ func resetStreamCacheForTest(budgetBytes int64) {
 	streamCache = make(map[streamKey]*cachedStream)
 	streamCacheMu.Unlock()
 	streamBudget.Store(budgetBytes)
+	sideLimit.Store(budgetBytes / 4)
 }
