@@ -26,12 +26,10 @@
 // runs, so only silent (dead) workers are requeued, never slow ones.
 //
 // Results live in an ordinary simcache directory (-store-dir), so the
-// store can be merged, packed, or planned against like any local
-// cache; measured costs are folded into EWMA estimates across all
-// workers (normalized into reference-host seconds, so a heterogeneous
-// fleet agrees on them). A claimed job not completed or heartbeated
-// within -lease is handed to the next claimer, so a worker killed
-// mid-run delays its job by one lease instead of stalling the sweep.
+// store can be merged or packed like any local cache. A claimed job
+// not completed or heartbeated within -lease is handed to the next
+// claimer, so a worker killed mid-run delays its job by one lease
+// instead of stalling the sweep.
 // The daemon never simulates and never interprets a job beyond its
 // content-addressed key, which is why one daemon binary serves workers
 // of any build that matches the manifest's planner. GET /v1/service
@@ -58,7 +56,7 @@ import (
 
 func main() {
 	manifest := flag.String("manifest", "", "evaluation manifest (rowswap-sweep plan) whose jobs feed the work queue (optional: manifests can also be registered over HTTP, and persisted ones reload on restart)")
-	storeDir := flag.String("store-dir", "store", "simcache directory results and measured costs are persisted in")
+	storeDir := flag.String("store-dir", "store", "simcache directory results are persisted in")
 	addr := flag.String("addr", "127.0.0.1:8344", "listen address (host:port; port 0 picks a free port; use 0.0.0.0 to serve other machines)")
 	lease := flag.Duration("lease", objstore.DefaultLease, "job lease: a claimed job not completed within this window is requeued for other workers")
 	progress := flag.Bool("progress", false, "log every claim, completion, and upload to stderr")

@@ -34,10 +34,10 @@
 // a results file that rowswap-figures -manifest can re-render without
 // simulating. merge -server skips the re-fold: the daemon has already
 // folded every completed job, so one GET of its figure snapshot is the
-// result set (no local cache is written, no measured costs imported),
-// checked for full coverage and against this build's plan. All stages
-// must run the same build of this binary — the manifest records the
-// binary fingerprint and every stage verifies it.
+// result set (no local cache is written), checked for full coverage
+// and against this build's plan. All stages must run the same build of
+// this binary — the manifest records the binary fingerprint and every
+// stage verifies it.
 //
 // See README.md for a whole-evaluation two-worker walkthrough.
 package main
@@ -54,13 +54,12 @@ import (
 	"repro/internal/objstore"
 	"repro/internal/report"
 	"repro/internal/sim"
-	"repro/internal/simcache"
 	"repro/internal/sweep"
 )
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
-  rowswap-sweep plan      -all | -fig ID[,ID...] [-shards N] [-strategy round-robin|cost] [-cost-dir DIR] [-quick] [-workloads a,b] [-cores N] [-instructions N] [-window NS] -out manifest.json
+  rowswap-sweep plan      -all | -fig ID[,ID...] [-shards N] [-strategy round-robin|cost] [-quick] [-workloads a,b] [-cores N] [-instructions N] [-window NS] -out manifest.json
   rowswap-sweep run-shard -manifest manifest.json -shard I (-cache-dir DIR | -server URL) [-workers N] [-progress]
   rowswap-sweep work      -server URL [-manifest manifest.json] [-name NAME] [-workers N] [-progress]
   rowswap-sweep merge     -manifest manifest.json -dirs DIR0,DIR1,... -merged-dir DIR [-out results.json] [-no-pack] [-progress]
@@ -109,8 +108,7 @@ func runPlan(args []string) error {
 	mcSeed := fs.Uint64("mc-seed", report.DefaultSecuritySeed, "Monte-Carlo root seed")
 	mcBatch := fs.Int("mc-batch", 0,
 		fmt.Sprintf("Monte-Carlo trials per batch job (0 = %d)", attack.DefaultBatch))
-	strategy := fs.String("strategy", sweep.StrategyRoundRobin, "job assignment: round-robin or cost")
-	costDir := fs.String("cost-dir", simcache.DefaultDir(), "cache directory whose measured-cost sidecar feeds -strategy cost (empty = static heuristic only)")
+	strategy := fs.String("strategy", sweep.StrategyRoundRobin, "job assignment: round-robin or cost (LPT over static cost estimates)")
 	quick := fs.Bool("quick", false, "use the 12-workload subset")
 	workloads := fs.String("workloads", "", "comma-separated workload subset (overrides -quick; default all 78)")
 	cores := fs.Int("cores", 8, "simulated cores per workload")
@@ -143,15 +141,9 @@ func runPlan(args []string) error {
 	po := sweep.PlanOptions{
 		Shards:   *shards,
 		Strategy: *strategy,
-		Log:      os.Stderr,
 		MCTrials: *trials * attack.DefaultTrials,
 		MCBatch:  *mcBatch,
 		MCSeed:   *mcSeed,
-	}
-	if *strategy == sweep.StrategyCost {
-		// Only the cost strategy consults measured costs; round-robin
-		// plans skip the sidecar read entirely.
-		po.Costs = simcache.OpenCostIndex(*costDir)
 	}
 	m, err := sweep.PlanEvaluation(figIDs, opt, po)
 	if err != nil {

@@ -103,24 +103,6 @@ func TestServerRejectsCorruptUpload(t *testing.T) {
 	}
 }
 
-// TestServerCostsEWMAAcrossWorkers: repeated observations from
-// different pushers fold into one EWMA estimate.
-func TestServerCostsEWMAAcrossWorkers(t *testing.T) {
-	_, c, cache := newTestServer(t, ServerOptions{})
-	key := testKey(7)
-	c.RecordCost(key, 2.0)
-	c.RecordCost(key, 2.0)
-	c.RecordCost(key, 2.0)
-	s, ok := cache.Costs().Seconds(key)
-	if !ok || s != 2.0 {
-		t.Fatalf("steady observations give %g, want 2.0", s)
-	}
-	c.RecordCost(key, 8.0) // one straggler machine
-	if s, _ = cache.Costs().Seconds(key); s <= 2.0 || s >= 8.0 {
-		t.Fatalf("outlier folded to %g, want strictly between 2 and 8", s)
-	}
-}
-
 // TestServerQueueOverHTTP drains a queue through the real HTTP surface
 // with two client "workers", completing each job only after its entry
 // is pushed — the full work-stealing protocol minus the simulator.

@@ -260,8 +260,7 @@ func relabel(base *Result, m config.Mitigation, start time.Time) *Result {
 	d.SimIPS = 0
 	d.Regimes = cpu.RegimeStats{}
 	d.Kernel = DerivedKernel
-	// A positive wall time keeps the derivation visible to cost
-	// accounting, which ignores non-positive observations.
+	// Positive, like every simulated run's wall time.
 	d.WallSeconds = max(time.Since(start).Seconds(), 1e-9)
 	return &d
 }

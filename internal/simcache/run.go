@@ -53,32 +53,21 @@ func runCached(c *Cache, w trace.Workload, sys config.System, opt sim.Options,
 		return nil, false, err
 	}
 	// Storing is best-effort: a full disk or read-only cache directory
-	// must not fail a successful simulation. The measured wall time goes
-	// to the cost sidecar — normalized into reference-host seconds so
-	// estimates from heterogeneous machines stay comparable — so later
-	// sweep plans can shard by it.
+	// must not fail a successful simulation.
 	_ = c.Put(key, res)
-	c.Costs().Record(CostKey(w, sys, opt), NormalizeCost(res.WallSeconds))
 	return res, false, nil
 }
 
 // ResumeCached is sim.Resume of the mitigated run of w under sys from
 // its baseline rb that, unless Derive's bound built the result, also
 // stores it like RunCached: a later process loads rb from the cache,
-// without the tape Resume needs, and finds the cell there instead. The
-// cost sidecar gets what simulating the cell costs, as sweeps do: the
-// resumed part as measured, plus the baseline's measured wall time
-// pro rata for the instructions before the checkpoint.
+// without the tape Resume needs, and finds the cell there instead.
 func ResumeCached(c *Cache, rb *sim.Result, w trace.Workload, sys config.System, opt sim.Options) (*sim.Result, bool) {
 	r, ok := sim.Resume(rb, w, sys, opt)
 	if !ok || r.Resume.How == sim.ResumeBound || c == nil {
 		return r, ok
 	}
 	_ = c.Put(RunKey(w, sys, opt), r)
-	if r.Instructions > 0 {
-		skipped := float64(r.Instructions-r.Resume.Instructions) / float64(r.Instructions)
-		c.Costs().Record(CostKey(w, sys, opt), NormalizeCost(r.WallSeconds+skipped*rb.WallSeconds))
-	}
 	return r, ok
 }
 

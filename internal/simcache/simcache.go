@@ -109,11 +109,6 @@ func DefaultDir() string {
 type Cache struct {
 	dir string
 
-	// costs is the measured-cost sidecar (costs.go): wall-seconds per
-	// simulation, keyed without the binary fingerprint so sweep planning
-	// can shard by costs measured under earlier builds.
-	costs *CostIndex
-
 	// mu guards packed. Gets from the matrix worker pool run
 	// concurrently; pack mutations (Open, PackLoose, a corrupt packed
 	// entry being dropped) are rare.
@@ -135,19 +130,10 @@ func Open(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	c := &Cache{dir: dir, packed: map[string]packRef{}, costs: OpenCostIndex(dir)}
+	c := &Cache{dir: dir, packed: map[string]packRef{}}
 	c.prune(time.Now().Add(-pruneAge))
 	c.scanPacks()
 	return c, nil
-}
-
-// Costs returns the cache's measured-cost sidecar index (nil for a nil
-// cache, so call sites need no disabled-cache branches).
-func (c *Cache) Costs() *CostIndex {
-	if c == nil {
-		return nil
-	}
-	return c.costs
 }
 
 // prune removes entry, pack, and temp files last modified before

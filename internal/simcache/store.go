@@ -16,8 +16,8 @@ import (
 // implementations — the on-disk directory layout of *Cache (this
 // package) and the HTTP client of internal/objstore, which pushes and
 // pulls the very same checksummed envelopes over the network. Both
-// speak content-addressed keys from the same SHA-256 scheme (RunKey /
-// CostKey), so a result produced against either store is bit-identical
+// speak content-addressed keys from the same SHA-256 scheme (RunKey,
+// MCKey), so a result produced against either store is bit-identical
 // wherever it is later read.
 
 // Store is a result store keyed by this package's content-addressed
@@ -31,16 +31,6 @@ type Store interface {
 	Get(key string, v any) (bool, error)
 	// Put stores v under key.
 	Put(key string, v any) error
-	// RecordCost notes a measured simulation cost (wall-seconds) under
-	// a build-independent CostKey. Best-effort: cost feedback is an
-	// optimization signal, never a correctness dependency.
-	RecordCost(key string, seconds float64)
-}
-
-// RecordCost implements Store for the on-disk cache by delegating to
-// the measured-cost sidecar. Nil-safe like every *Cache method.
-func (c *Cache) RecordCost(key string, seconds float64) {
-	c.Costs().Record(key, seconds)
 }
 
 // RunCachedStore is RunCached generalized over any Store, with two
@@ -70,10 +60,6 @@ func RunCachedStore(s Store, w trace.Workload, sys config.System, opt sim.Option
 	if err := s.Put(key, res); err != nil {
 		return nil, false, fmt.Errorf("simcache: store result for key %.12s…: %w", key, err)
 	}
-	// Costs cross host boundaries here (the store may be a remote
-	// daemon fed by a heterogeneous fleet), so the observation is
-	// normalized into reference-host seconds before it leaves.
-	s.RecordCost(CostKey(w, sys, opt), NormalizeCost(res.WallSeconds))
 	return res, false, nil
 }
 

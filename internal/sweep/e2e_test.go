@@ -84,7 +84,7 @@ func TestSweepEndToEndTwoWorkerProcesses(t *testing.T) {
 	run("plan", "-fig", "14",
 		"-workloads", "gcc,mcf,gups", "-cores", "2",
 		"-instructions", "200000", "-window", "200000",
-		"-shards", "2", "-strategy", "cost", "-cost-dir", "", "-out", manifest)
+		"-shards", "2", "-strategy", "cost", "-out", manifest)
 
 	w0 := filepath.Join(dir, "w0")
 	w1 := filepath.Join(dir, "w1")

@@ -363,7 +363,7 @@ func TestServerSweepWorkStealingTwoWorkerProcesses(t *testing.T) {
 	run("plan", "-fig", "14",
 		"-workloads", "gcc,mcf,gups", "-cores", "2",
 		"-instructions", fmt.Sprint(instructions), "-window", "200000",
-		"-shards", "2", "-strategy", "cost", "-cost-dir", "", "-out", lptManifest)
+		"-shards", "2", "-strategy", "cost", "-out", lptManifest)
 	lptStart := time.Now()
 	runWorkers(t, dir, sweepBin, lptManifest, []string{filepath.Join(dir, "lpt-w0"), filepath.Join(dir, "lpt-w1")})
 	lptSecs := time.Since(lptStart).Seconds()

@@ -7,9 +7,9 @@
 // evaluation-wide job manifest (PlanEvaluation), deduplicates cells
 // that several figures share (every figure's unprotected baseline,
 // recurring mitigation configs), shards the deduplicated set globally
-// — round-robin or LPT over measured-or-estimated costs — hands each
-// shard to a plain worker process that simulates into a persistent
-// result cache (RunShard), and merges the worker cache directories
+// — round-robin or LPT over estimated costs — hands each shard to a
+// plain worker process that simulates into a persistent result cache
+// (RunShard), and merges the worker cache directories
 // back into every covered figure's normalized-performance rows
 // (Merge). Because every job is keyed with internal/simcache's SHA-256
 // scheme — workload, system, normalized options, and binary
@@ -76,22 +76,9 @@ const (
 	// spread across workloads.
 	StrategyRoundRobin = "round-robin"
 	// StrategyCost greedily assigns the most expensive remaining job to
-	// the least-loaded shard (LPT scheduling). Costs come from the
-	// measured-cost sidecar of the planning cache directory when
-	// present (wall-seconds of previous runs, surviving rebuilds) and
-	// fall back to a static estimate; Manifest.CostSource records which.
+	// the least-loaded shard (LPT scheduling), by the static estimates
+	// cellCost and mcJobCost.
 	StrategyCost = "cost"
-)
-
-// Cost sources recorded in Manifest.CostSource.
-const (
-	// CostSourceStatic: every job cost is the deterministic static
-	// heuristic (memory intensity × instruction budget).
-	CostSourceStatic = "static-heuristic"
-	// CostSourceMeasured: every job cost is a measured wall-seconds
-	// value from the planning cache's cost sidecar. Partially measured
-	// plans record a descriptive hybrid string instead.
-	CostSourceMeasured = "measured-wall-seconds"
 )
 
 // Job is one deduplicated cell of the evaluation: a (workload, system)
@@ -119,9 +106,8 @@ type Job struct {
 	// the trial spec, root seed, batch index, batch size, and binary
 	// fingerprint for Monte-Carlo batches (simcache.MCKey).
 	Key string `json:"key"`
-	// Cost is the deterministic cost used by StrategyCost's LPT
-	// assignment: measured wall-seconds when the planning cache had
-	// them, otherwise the static estimate (see Manifest.CostSource).
+	// Cost is the deterministic static estimate StrategyCost's LPT
+	// assignment orders jobs by.
 	Cost float64 `json:"cost"`
 	// Shard is the worker index this job is assigned to.
 	Shard int `json:"shard"`
@@ -195,11 +181,11 @@ type Manifest struct {
 	Cores int `json:"cores"`
 	// Sim carries the normalized simulation options every job runs with.
 	Sim sim.Options `json:"sim"`
-	// Shards is the worker count; Strategy how jobs were assigned;
-	// CostSource where StrategyCost's job costs came from.
-	Shards     int    `json:"shards"`
-	Strategy   string `json:"strategy"`
-	CostSource string `json:"cost_source,omitempty"`
+	// Shards is the worker count; Strategy how jobs were assigned.
+	// Older manifests may also carry a "cost_source" field, which
+	// decoding ignores.
+	Shards   int    `json:"shards"`
+	Strategy string `json:"strategy"`
 	// Figures lists the covered performance figures with their fan-out
 	// maps; Jobs is the deduplicated job set they fan out over
 	// (simulation jobs first, in evaluation order, then Monte-Carlo
@@ -267,14 +253,6 @@ type PlanOptions struct {
 	Shards int
 	// Strategy is StrategyRoundRobin or StrategyCost.
 	Strategy string
-	// Costs, when non-nil, supplies measured wall-seconds for
-	// StrategyCost (typically simcache.OpenCostIndex on the cache
-	// directory of previous runs). Jobs without a measured cost fall
-	// back to the static estimate, rescaled into seconds.
-	Costs *simcache.CostIndex
-	// Log, when non-nil, receives one-line planning notes (which cost
-	// source was used).
-	Log io.Writer
 	// MCTrials is the per-cell Monte-Carlo trial count for security
 	// figures (0 = attack.DefaultTrials); MCBatch the trials-per-batch
 	// job granularity (0 = attack.DefaultBatch); MCSeed the experiment
@@ -322,8 +300,7 @@ func splitFigIDs(figIDs []string) (perfIDs, secIDs []string, err error) {
 // mcJobCost predicts a trial batch's relative cost for StrategyCost.
 // A direct-regime trial simulates an expected 1/p windows (one Poisson
 // draw each); tail-regime and latent-only trials are constant work.
-// Like cellCost this only steers load balance — measured wall-seconds
-// replace it on re-plans.
+// Like cellCost this only steers load balance.
 func mcJobCost(spec attack.TrialSpec, trials int) float64 {
 	p := spec.Model.EpochSuccessProb(spec.Rounds)
 	perTrial := 4.0
@@ -335,10 +312,10 @@ func mcJobCost(spec attack.TrialSpec, trials int) float64 {
 
 // PlanEvaluation expands the given figures — performance, security, or
 // a mix — into one deduplicated, sharded job manifest without running
-// anything. Planning is deterministic given the cost source: the same
-// figures, options, shard count, seed, binary, and measured-cost index
-// always produce the same manifest, so coordinator and workers can
-// independently agree on every job's identity. Simulation jobs come
+// anything. Planning is deterministic: the same figures, options,
+// shard count, seed, and binary always produce the same manifest, so
+// coordinator and workers can independently agree on every job's
+// identity. Simulation jobs come
 // first (evaluation order), then every security cell's trial batches.
 func PlanEvaluation(figIDs []string, opt report.PerfOptions, po PlanOptions) (*Manifest, error) {
 	if len(figIDs) == 0 {
@@ -364,7 +341,6 @@ func PlanEvaluation(figIDs []string, opt report.PerfOptions, po PlanOptions) (*M
 		Strategy: po.Strategy,
 	}
 	var jobs []Job
-	var costKeys []string // parallel to jobs: build-independent cost identity
 
 	var eval report.EvaluationPlan
 	if len(perfIDs) > 0 {
@@ -390,7 +366,6 @@ func PlanEvaluation(figIDs []string, opt report.PerfOptions, po PlanOptions) (*M
 				Key:      eval.Keys[i],
 				Cost:     cellCost(cell, eval.Sim.Instructions),
 			})
-			costKeys = append(costKeys, simcache.CostKey(cell.Workload, cell.System, eval.Sim))
 		}
 		mfigs := make([]Figure, len(eval.Figures))
 		for fi, fp := range eval.Figures {
@@ -442,7 +417,6 @@ func PlanEvaluation(figIDs []string, opt report.PerfOptions, po PlanOptions) (*M
 					Cost:     mcJobCost(cell.Spec, n),
 					MC:       &MCRef{Cell: ci, Batch: b, Trials: n},
 				})
-				costKeys = append(costKeys, simcache.MCCostKey(cell.Spec, n))
 			}
 		}
 	}
@@ -450,60 +424,9 @@ func PlanEvaluation(figIDs []string, opt report.PerfOptions, po PlanOptions) (*M
 		return nil, fmt.Errorf("sweep: figures %s cover nothing", strings.Join(figIDs, ","))
 	}
 
-	costSource := CostSourceStatic
-	if po.Strategy == StrategyCost {
-		costSource = applyMeasuredCosts(jobs, costKeys, po.Costs)
-		if po.Log != nil {
-			fmt.Fprintf(po.Log, "cost source: %s\n", costSource)
-		}
-	}
-	m.CostSource = costSource
 	assignShards(jobs, po.Shards, po.Strategy)
 	m.Jobs = jobs
 	return m, nil
-}
-
-// applyMeasuredCosts replaces static job costs with measured
-// wall-seconds where the cost index has them, returning a description
-// of the resulting cost source. costKeys[i] is job i's
-// build-independent cost identity (simcache.CostKey for simulations,
-// simcache.MCCostKey for trial batches). When only part of the job set
-// is measured, the unmeasured jobs keep their static estimate rescaled
-// into the measured unit (seconds) by the ratio observed on the
-// measured jobs, so LPT compares like with like.
-func applyMeasuredCosts(jobs []Job, costKeys []string, costs *simcache.CostIndex) string {
-	if costs.Len() == 0 {
-		return CostSourceStatic
-	}
-	measured := make([]float64, len(jobs))
-	n := 0
-	var sumMeasured, sumStatic float64
-	for i := range jobs {
-		if s, ok := costs.Seconds(costKeys[i]); ok {
-			measured[i] = s
-			n++
-			sumMeasured += s
-			sumStatic += jobs[i].Cost
-		}
-	}
-	if n == 0 {
-		return CostSourceStatic
-	}
-	if n == len(jobs) {
-		for i := range jobs {
-			jobs[i].Cost = measured[i]
-		}
-		return CostSourceMeasured
-	}
-	scale := sumMeasured / sumStatic
-	for i := range jobs {
-		if measured[i] > 0 {
-			jobs[i].Cost = measured[i]
-		} else {
-			jobs[i].Cost *= scale
-		}
-	}
-	return fmt.Sprintf("measured-wall-seconds for %d/%d jobs, static heuristic (rescaled) for the rest", n, len(jobs))
 }
 
 // assignShards distributes jobs across shards in place.
@@ -1044,10 +967,8 @@ func (m *Manifest) runJobPool(indices []int, workers int, progress io.Writer, wh
 // manifest's fan-out maps. The assembly arithmetic is
 // report.MatrixPlan.Rows — the same code the in-process matrix uses —
 // so each figure's merged rows are bit-identical to a single-process
-// run. Measured-cost sidecars of the worker directories are merged too,
-// so a later plan against mergedDir can shard by measured wall time.
-// When pack is true the merged loose entries are folded into a packed
-// shard index ("shard-index.pack") so later readers of mergedDir pay
+// run. When pack is true the merged loose entries are folded into a
+// packed shard index ("shard-index.pack") so later readers of mergedDir pay
 // one file scan instead of thousands of opens.
 func (m *Manifest) Merge(mergedDir string, workerDirs []string, pack bool, progress io.Writer) (*Results, error) {
 	p, err := m.expand()
@@ -1063,9 +984,8 @@ func (m *Manifest) Merge(mergedDir string, workerDirs []string, pack bool, progr
 		if err != nil {
 			return nil, fmt.Errorf("sweep: import %s: %w", dir, err)
 		}
-		nc := cache.Costs().ImportFrom(dir)
 		if progress != nil {
-			fmt.Fprintf(progress, "  imported %d entries (+%d measured costs) from %s\n", n, nc, dir)
+			fmt.Fprintf(progress, "  imported %d entries from %s\n", n, dir)
 		}
 	}
 	return m.assemble(p, cache, pack, progress)

@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -10,7 +11,6 @@ import (
 
 	"repro/internal/report"
 	"repro/internal/sim"
-	"repro/internal/simcache"
 )
 
 // quickOpts is a small matrix that still spans baseline sharing and
@@ -204,72 +204,6 @@ func TestCostStrategyBalancesLoad(t *testing.T) {
 			t.Errorf("shard %d carries %.0f%% of the estimated cost", s, frac*100)
 		}
 	}
-	if m.CostSource != CostSourceStatic {
-		t.Errorf("plan without a cost index records source %q, want %q", m.CostSource, CostSourceStatic)
-	}
-}
-
-// TestPlanUsesMeasuredCosts runs a sweep once with a cache directory
-// (which records measured wall-seconds in the cost sidecar) and
-// re-plans against that directory: every job cost must then be the
-// measured value, the manifest must say so, and the assignment must
-// still validate. A second index covering only some jobs must produce
-// the hybrid source.
-func TestPlanUsesMeasuredCosts(t *testing.T) {
-	dir := t.TempDir()
-	m := mustPlan(t, 1, StrategyRoundRobin)
-	if _, err := m.RunShard(0, dir, 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	costs := simcache.OpenCostIndex(dir)
-	if costs.Len() != len(m.Jobs) {
-		t.Fatalf("cost sidecar holds %d entries after running %d jobs", costs.Len(), len(m.Jobs))
-	}
-
-	var log bytes.Buffer
-	mc, err := PlanEvaluation([]string{"14"}, quickOpts(), PlanOptions{
-		Shards: 2, Strategy: StrategyCost, Costs: costs, Log: &log,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mc.CostSource != CostSourceMeasured {
-		t.Errorf("cost source %q, want %q", mc.CostSource, CostSourceMeasured)
-	}
-	if !strings.Contains(log.String(), CostSourceMeasured) {
-		t.Errorf("plan did not log the cost source: %q", log.String())
-	}
-	static := mustPlan(t, 2, StrategyCost)
-	same := true
-	for i := range mc.Jobs {
-		if mc.Jobs[i].Cost <= 0 {
-			t.Fatalf("job %s has non-positive measured cost %g", mc.Jobs[i].desc(), mc.Jobs[i].Cost)
-		}
-		if mc.Jobs[i].Cost != static.Jobs[i].Cost {
-			same = false
-		}
-	}
-	if same {
-		t.Error("measured costs identical to the static heuristic; the sidecar was not consulted")
-	}
-	if err := mc.Validate(); err != nil {
-		t.Errorf("measured-cost plan does not validate: %v", err)
-	}
-
-	// An evaluation over more figures is only partially covered by the
-	// measured index: the plan must fall back per-job and say so.
-	mp, err := PlanEvaluation([]string{"14", "12"}, quickOpts(), PlanOptions{
-		Shards: 2, Strategy: StrategyCost, Costs: costs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mp.CostSource == CostSourceMeasured || mp.CostSource == CostSourceStatic {
-		t.Errorf("partially measured plan records source %q, want a hybrid description", mp.CostSource)
-	}
-	if !strings.Contains(mp.CostSource, "static heuristic") {
-		t.Errorf("hybrid cost source %q does not mention the fallback", mp.CostSource)
-	}
 }
 
 func TestManifestRoundTripsThroughJSON(t *testing.T) {
@@ -287,6 +221,27 @@ func TestManifestRoundTripsThroughJSON(t *testing.T) {
 	}
 	if err := loaded.Validate(); err != nil {
 		t.Errorf("loaded manifest does not validate: %v", err)
+	}
+
+	// Manifests planned while measured costs still fed -strategy cost
+	// carry a "cost_source" field; they must still load, to the same
+	// manifest.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(data, []byte(`"strategy":`), []byte(`"cost_source": "measured-wall-seconds", "strategy":`), 1)
+	if bytes.Equal(old, data) {
+		t.Fatal("saved manifest has no strategy field to prefix")
+	}
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if loaded, err = LoadManifest(path); err != nil {
+		t.Fatalf("a manifest carrying cost_source does not load: %v", err)
+	}
+	if !reflect.DeepEqual(m, loaded) {
+		t.Errorf("a manifest carrying cost_source loads differently:\nsaved:  %+v\nloaded: %+v", m, loaded)
 	}
 }
 

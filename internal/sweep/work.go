@@ -261,7 +261,7 @@ func (m *Manifest) RunWork(client *objstore.Client, worker string, goroutines in
 // namespaced to the manifest (Client.ForManifest).
 //
 // Nothing is pulled, written or folded locally: mergedDir and pack are
-// unused by this transport, and no measured costs are imported.
+// unused by this transport.
 func (m *Manifest) MergeServer(mergedDir string, client *objstore.Client, pack bool, progress io.Writer) (*Results, error) {
 	if client.Fingerprint() == "" {
 		return nil, fmt.Errorf("sweep: server merge needs a client namespaced to the manifest (Client.ForManifest); an unbound one reads the daemon's default manifest")
