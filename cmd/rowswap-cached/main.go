@@ -25,8 +25,9 @@
 // where the store left off. Workers heartbeat their leases while a job
 // runs, so only silent (dead) workers are requeued, never slow ones.
 //
-// Results live in an ordinary simcache directory (-store-dir), so the
-// store can be merged or packed like any local cache. A claimed job
+// Results live in an ordinary simcache directory (-store-dir), one
+// appended segment per daemon run, so the store can be merged like any
+// local cache. A claimed job
 // not completed or heartbeated within -lease is handed to the next
 // claimer, so a worker killed mid-run delays its job by one lease
 // instead of stalling the sweep.

@@ -29,10 +29,9 @@
 // jobs); merge unions the worker cache directories, audits
 // completeness, folds batch tallies into each security figure's
 // Monte-Carlo rows — bit-identical to a single-process run of the same
-// seeded trials, in any completion order — folds the merged entries
-// into a packed shard index, renders every covered figure, and writes
-// a results file that rowswap-figures -manifest can re-render without
-// simulating. merge -server skips the re-fold: the daemon has already
+// seeded trials, in any completion order — renders every covered
+// figure, and writes a results file that rowswap-figures -manifest can
+// re-render without simulating. merge -server skips the re-fold: the daemon has already
 // folded every completed job, so one GET of its figure snapshot is the
 // result set (no local cache is written), checked for full coverage
 // and against this build's plan. All stages must run the same build of
@@ -62,7 +61,7 @@ func usage() {
   rowswap-sweep plan      -all | -fig ID[,ID...] [-shards N] [-strategy round-robin|cost] [-quick] [-workloads a,b] [-cores N] [-instructions N] [-window NS] -out manifest.json
   rowswap-sweep run-shard -manifest manifest.json -shard I (-cache-dir DIR | -server URL) [-workers N] [-progress]
   rowswap-sweep work      -server URL [-manifest manifest.json] [-name NAME] [-workers N] [-progress]
-  rowswap-sweep merge     -manifest manifest.json -dirs DIR0,DIR1,... -merged-dir DIR [-out results.json] [-no-pack] [-progress]
+  rowswap-sweep merge     -manifest manifest.json -dirs DIR0,DIR1,... -merged-dir DIR [-out results.json] [-progress]
   rowswap-sweep merge     -manifest manifest.json -server URL [-out results.json] [-progress]
 
 run-shard executes a plan-time shard; work registers its manifest with
@@ -287,7 +286,6 @@ func runMerge(args []string) error {
 	server := fs.String("server", "", "rowswap-cached URL whose folded figure snapshot is the result set, instead of worker directories")
 	mergedDir := fs.String("merged-dir", "", "with -dirs: directory the merged cache is built in")
 	out := fs.String("out", "", "results file for rowswap-figures -manifest (optional)")
-	noPack := fs.Bool("no-pack", false, "with -dirs: keep merged entries as loose files instead of a packed shard index")
 	progress := fs.Bool("progress", false, "print merge progress")
 	fs.Parse(args)
 
@@ -300,8 +298,8 @@ func runMerge(args []string) error {
 	if *dirs != "" && *mergedDir == "" {
 		return fmt.Errorf("-dirs needs -merged-dir, the directory the worker caches are merged into")
 	}
-	if *server != "" && (*mergedDir != "" || *noPack) {
-		return fmt.Errorf("-merged-dir and -no-pack apply only to -dirs: a -server merge reads the daemon's folded snapshot and writes no local cache")
+	if *server != "" && *mergedDir != "" {
+		return fmt.Errorf("-merged-dir applies only to -dirs: a -server merge reads the daemon's folded snapshot and writes no local cache")
 	}
 	m, raw, err := sweep.LoadManifestRaw(*manifest)
 	if err != nil {
@@ -320,7 +318,7 @@ func runMerge(args []string) error {
 			res, err = m.MergeServer("", objstore.NewClient(*server).ForManifest(fp), false, progIfSet(prog))
 		}
 	} else {
-		res, err = m.Merge(*mergedDir, strings.Split(*dirs, ","), !*noPack, progIfSet(prog))
+		res, err = m.Merge(*mergedDir, strings.Split(*dirs, ","), progIfSet(prog))
 	}
 	if err != nil {
 		return err

@@ -20,9 +20,9 @@
 // a silent worker's lease expires and its job is requeued.
 //
 // Storage is an ordinary simcache directory, so everything downstream
-// — checksummed envelopes, corrupt-entry rejection, packed indexes —
-// behaves exactly as it does locally, and a store directory can be merged or planned against
-// like any worker cache. The client implements simcache.Store, so
+// — checksummed envelopes, corrupt-entry rejection, the segment index —
+// behaves exactly as it does locally, and a store directory can be
+// merged or planned against like any worker cache. The client implements simcache.Store, so
 // sweep execution code is agnostic to the transport.
 package objstore
 
@@ -30,6 +30,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -55,8 +56,9 @@ const (
 
 // manifestSubdir is where registered manifests persist inside the
 // store directory ("<fp>.json" each), so a restarted daemon can
-// re-register every sweep it was serving. The name keeps them out of
-// the cache's entry namespace (entries live flat in the directory).
+// re-register every sweep it was serving. The subdirectory keeps them
+// apart from the cache's segment files, which live flat in the
+// directory.
 const manifestSubdir = "manifests"
 
 // ManifestFingerprint namespaces a manifest in the service: a SHA-256
@@ -386,9 +388,9 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // validKey gates every key-carrying route: keys are SHA-256 hex
-// digests, nothing else. This is what keeps a hostile key from
-// escaping the store directory (the cache joins keys into file paths);
-// tenant fingerprints pass the same gate before becoming file names.
+// digests, nothing else. Tenant fingerprints pass the same gate before
+// becoming file names, which keeps a hostile one from escaping the
+// store directory.
 func validKey(key string) bool {
 	if len(key) != 64 {
 		return false
@@ -479,9 +481,14 @@ func (s *Server) handlePutEntry(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// PutRaw re-validates schema, key, and checksum; a corrupt push is
-	// rejected here and never touches the store.
-	if err := s.cache.PutRaw(key, data); err != nil {
+	// rejected here and never touches the store. A store that fails to
+	// write answers 5xx, which the client retries.
+	if err := s.cache.PutRaw(key, data); errors.Is(err, simcache.ErrInvalidEntry) {
 		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	} else if err != nil {
+		s.logf("storing entry %.12s… failed: %v", key, err)
+		httpError(w, http.StatusInternalServerError, "storing entry %.12s…: %v", key, err)
 		return
 	}
 	s.logf("stored entry %.12s… (%d bytes)", key, len(data))

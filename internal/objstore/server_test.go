@@ -103,6 +103,36 @@ func TestServerRejectsCorruptUpload(t *testing.T) {
 	}
 }
 
+// TestServerPutStoreFailureIs5xx: a PUT the store fails to write is the
+// server's fault, not the request's. It answers 500 and logs, so the
+// client retries with backoff and finally reports the I/O failure
+// instead of aborting on a misleading bad-request answer.
+func TestServerPutStoreFailureIs5xx(t *testing.T) {
+	var log strings.Builder
+	_, c, cache := newTestServer(t, ServerOptions{Log: &log})
+	key := simcache.Key("unwritable")
+	valid, err := simcache.EncodeEntry(key, map[string]int{"v": 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No segment exists before the first PUT, so it must create one in
+	// the removed directory and fail.
+	if err := os.RemoveAll(cache.Dir()); err != nil {
+		t.Fatal(err)
+	}
+	err = c.PutEntryRaw(key, valid)
+	var se *errStatus
+	if !errors.As(err, &se) || se.code != http.StatusInternalServerError {
+		t.Fatalf("PUT into a removed store = %v, want a 500", err)
+	}
+	if !strings.Contains(err.Error(), "no such file or directory") {
+		t.Errorf("client error %q does not name the I/O failure", err)
+	}
+	if got := strings.Count(log.String(), "storing entry"); got != c.attempts {
+		t.Errorf("server logged %d failed stores, want one per client attempt (%d)", got, c.attempts)
+	}
+}
+
 // TestServerQueueOverHTTP drains a queue through the real HTTP surface
 // with two client "workers", completing each job only after its entry
 // is pushed — the full work-stealing protocol minus the simulator.

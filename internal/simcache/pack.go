@@ -4,305 +4,199 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
+	"time"
 )
 
-// This file implements the cache's sharded-sweep interchange surface:
-// ImportDir unions another cache directory (a worker's shard output)
-// into this one, and PackLoose folds loose per-result files into a
-// single packed index file. A full 78-workload sweep writes thousands
-// of small JSON entries; packing them means a later process pays one
-// sequential file scan at Open instead of a directory walk plus one
-// open per entry (the ROADMAP's "packed index" item).
+// This file implements the cache's storage form, append-only segment
+// files, and its sharded-sweep interchange surface: ImportDir unions
+// another cache directory (a worker's shard output) into this one.
 //
-// Pack format: one envelope per line, exactly the bytes a loose entry
-// file holds (same schema, key, and checksum fields), so the integrity
-// gates of decodeEnvelope apply unchanged. A corrupted packed entry is
-// dropped from the in-memory index and reported as a miss; unlike a
-// loose file it cannot be deleted individually, so it stays inert in
-// the pack until age-pruning removes the file.
+// Segment format: one envelope per line, exactly the bytes Put
+// encodes and the network transport ships, so the integrity gates of
+// parseEnvelope apply unchanged. A Cache only ever appends to the
+// segment it created, so a process killed mid-write can leave at most
+// one torn line, at the tail of its own segment; readers skip it. A
+// write is one append to an already open file. A corrupted entry
+// cannot be removed from its segment: it stays inert there, left out
+// of the index, until its re-simulated replacement is appended or
+// age-pruning removes the segment.
 
-// packRef locates one entry inside a pack file.
+// packRef locates one entry inside a segment.
 type packRef struct {
 	path string
 	off  int64
 	n    int
 }
 
-// scanPacks indexes every *.pack file in the cache directory. Later
-// files (lexicographically) win key collisions, matching the order
-// PackLoose creates them. Unreadable files or undecodable lines are
-// skipped: the index is a read-side accelerator, and every entry is
-// re-validated by decodeEnvelope at Get time anyway.
-func (c *Cache) scanPacks() {
-	names, err := filepath.Glob(filepath.Join(c.dir, "*.pack"))
-	if err != nil {
-		return
+// eachLine calls fn with every line of r, its newline stripped (a torn
+// final line without one included), and the line's offset in r. It
+// stops at the first error fn returns.
+func eachLine(r io.Reader, fn func(line []byte, off int64) error) error {
+	br := bufio.NewReaderSize(r, 64<<10)
+	var off int64
+	for {
+		line, err := br.ReadBytes('\n')
+		if len(line) > 0 {
+			if ferr := fn(bytes.TrimSuffix(line, []byte{'\n'}), off); ferr != nil {
+				return ferr
+			}
+			off += int64(len(line))
+		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
 	}
-	sort.Strings(names)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, path := range names {
+}
+
+// segments lists dir's segment files in creation order: their names
+// start with the creation time (see appendEntry), and Glob sorts.
+func segments(dir string) []string {
+	names, _ := filepath.Glob(filepath.Join(dir, "*.pack"))
+	return names
+}
+
+// scan indexes every valid line of every segment in the directory.
+// Later lines win key collisions, so a re-simulated entry shadows the
+// copy it replaces; invalid lines and unreadable files are skipped.
+func (c *Cache) scan() {
+	for _, path := range segments(c.dir) {
 		f, err := os.Open(path)
 		if err != nil {
 			continue
 		}
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-		var off int64
-		for sc.Scan() {
-			line := sc.Bytes()
-			n := int64(len(line)) + 1 // +1 for the newline
-			var e envelope
-			if json.Unmarshal(line, &e) == nil && e.Key != "" {
-				c.packed[e.Key] = packRef{path: path, off: off, n: len(line)}
+		eachLine(f, func(line []byte, off int64) error {
+			if e, ok := parseEnvelope(line); ok {
+				c.index[e.Key] = packRef{path: path, off: off, n: len(line)}
 			}
-			off += n
-		}
+			return nil
+		})
 		f.Close()
 	}
 }
 
-// packedRaw serves key's envelope bytes from the packed index,
-// validating them once and returning the extracted payload alongside.
-// A corrupted or stale packed entry is dropped from the index and
-// reported as a miss so the caller re-simulates into a loose file
-// (which Get prefers over the pack from then on).
-func (c *Cache) packedRaw(key string) (data []byte, payload json.RawMessage, ok bool) {
+// read serves key's envelope bytes from the index, re-validating them
+// and returning the extracted payload alongside. An entry that fails
+// to read or validate leaves the index and is reported as a miss.
+func (c *Cache) read(key string) (data []byte, payload json.RawMessage, ok bool) {
+	if c == nil {
+		return nil, nil, false
+	}
 	c.mu.RLock()
-	ref, found := c.packed[key]
+	ref, found := c.index[key]
 	c.mu.RUnlock()
 	if !found {
 		return nil, nil, false
 	}
-	drop := func() {
-		c.mu.Lock()
-		delete(c.packed, key)
-		c.mu.Unlock()
-	}
 	f, err := os.Open(ref.path)
-	if err != nil {
-		drop()
-		return nil, nil, false
+	if err == nil {
+		data = make([]byte, ref.n)
+		_, err = f.ReadAt(data, ref.off)
+		f.Close()
 	}
-	defer f.Close()
-	data = make([]byte, ref.n)
-	if _, err := f.ReadAt(data, ref.off); err != nil {
-		drop()
-		return nil, nil, false
-	}
-	payload, ok = decodeEnvelope(data, key)
-	if !ok {
-		drop()
-		return nil, nil, false
-	}
-	return data, payload, true
-}
-
-// getPacked serves key from the packed index, fully re-validating the
-// entry bytes.
-func (c *Cache) getPacked(key string, v any) bool {
-	_, payload, ok := c.packedRaw(key)
-	if !ok {
-		return false
-	}
-	if json.Unmarshal(payload, v) != nil {
-		c.mu.Lock()
-		delete(c.packed, key)
-		c.mu.Unlock()
-		return false
-	}
-	return true
-}
-
-// looseKeys returns the keys of all loose entry files, sorted.
-func (c *Cache) looseKeys() []string {
-	entries, err := os.ReadDir(c.dir)
-	if err != nil {
-		return nil
-	}
-	var keys []string
-	for _, e := range entries {
-		if name := e.Name(); filepath.Ext(name) == ".json" {
-			keys = append(keys, strings.TrimSuffix(name, ".json"))
+	if err == nil {
+		if payload, ok = decodeEnvelope(data, key); ok {
+			return data, payload, true
 		}
 	}
-	sort.Strings(keys)
-	return keys
+	c.mu.Lock()
+	if c.index[key] == ref {
+		delete(c.index, key)
+	}
+	c.mu.Unlock()
+	return nil, nil, false
 }
 
-// Keys returns every key the cache can currently serve — loose files
-// and packed entries — sorted. Sweep merging uses it to audit that a
-// merged directory covers a manifest.
+// writeAt is the segment write, a variable so tests can fail it part
+// way.
+var writeAt = (*os.File).WriteAt
+
+// appendEntry appends already-validated envelope bytes for key as one
+// line of this Cache's segment, creating the segment on first use, and
+// indexes the line.
+func (c *Cache) appendEntry(key string, data []byte) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.seg == nil {
+		f, err := os.CreateTemp(c.dir, fmt.Sprintf("seg-%016x-*.pack", time.Now().UnixNano()))
+		if err != nil {
+			return err
+		}
+		c.seg, c.end = f, 0
+	}
+	line := append(data[:len(data):len(data)], '\n')
+	if _, err := writeAt(c.seg, line, c.end); err != nil {
+		// A part-written line must not sit in front of the next entry:
+		// cut it off, or leave the segment to its readers and start a
+		// new one with the next write.
+		if c.seg.Truncate(c.end) != nil {
+			c.seg = nil
+		}
+		return err
+	}
+	c.index[key] = packRef{path: c.seg.Name(), off: c.end, n: len(data)}
+	c.end += int64(len(line))
+	return nil
+}
+
+// Keys returns every key the cache can currently serve, sorted. Sweep
+// merging uses it to audit that a merged directory covers a manifest.
 func (c *Cache) Keys() []string {
 	if c == nil {
 		return nil
 	}
-	seen := map[string]bool{}
-	for _, k := range c.looseKeys() {
-		seen[k] = true
-	}
 	c.mu.RLock()
-	for k := range c.packed {
-		seen[k] = true
-	}
-	c.mu.RUnlock()
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
+	keys := make([]string, 0, len(c.index))
+	for k := range c.index {
 		keys = append(keys, k)
 	}
+	c.mu.RUnlock()
 	sort.Strings(keys)
 	return keys
 }
 
-// Has reports whether the cache holds a valid entry for key.
-func (c *Cache) Has(key string) bool {
-	var raw json.RawMessage
-	hit, _ := c.Get(key, &raw)
-	return hit
-}
-
 // ImportDir unions the entries of another cache directory (typically a
-// sweep worker's shard output) into this cache as loose files,
-// returning how many entries were imported. Every entry — loose or
-// packed — is validated before import; invalid ones are skipped, not
-// copied, so a torn shard can never poison the merged cache. Entries
-// keep their envelope bytes verbatim, which keeps their checksums and
-// therefore their bit-identity across the process boundary.
+// sweep worker's shard output) into this cache, returning how many
+// entries were imported. Every line of every segment is validated
+// before import; invalid ones are skipped, not copied, so a torn shard
+// can never poison the merged cache. Entries keep their envelope bytes
+// verbatim, which keeps their checksums and therefore their
+// bit-identity across the process boundary.
 func (c *Cache) ImportDir(src string) (int, error) {
 	if c == nil {
 		return 0, nil
 	}
-	entries, err := os.ReadDir(src)
-	if err != nil {
+	if _, err := os.Stat(src); err != nil {
 		return 0, err
 	}
 	imported := 0
-	for _, e := range entries {
-		name := e.Name()
-		full := filepath.Join(src, name)
-		switch filepath.Ext(name) {
-		case ".json":
-			key := strings.TrimSuffix(name, ".json")
-			data, err := os.ReadFile(full)
-			if err != nil {
-				continue
+	for _, path := range segments(src) {
+		f, err := os.Open(path)
+		if err != nil {
+			return imported, err
+		}
+		err = eachLine(f, func(line []byte, _ int64) error {
+			e, ok := parseEnvelope(line)
+			if !ok {
+				return nil
 			}
-			if _, ok := decodeEnvelope(data, key); !ok {
-				continue
-			}
-			if err := c.writeEntry(key, bytes.TrimSpace(data)); err != nil {
-				return imported, err
+			if err := c.appendEntry(e.Key, line); err != nil {
+				return err
 			}
 			imported++
-		case ".pack":
-			n, err := c.importPack(full)
-			imported += n
-			if err != nil {
-				return imported, err
-			}
+			return nil
+		})
+		f.Close()
+		if err != nil {
+			return imported, err
 		}
 	}
 	return imported, nil
-}
-
-// importPack copies every valid entry of a pack file into this cache
-// as loose files.
-func (c *Cache) importPack(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	imported := 0
-	for sc.Scan() {
-		line := sc.Bytes()
-		var e envelope
-		if json.Unmarshal(line, &e) != nil {
-			continue
-		}
-		if _, ok := decodeEnvelope(line, e.Key); !ok {
-			continue
-		}
-		entry := make([]byte, len(line))
-		copy(entry, line)
-		if err := c.writeEntry(e.Key, entry); err != nil {
-			return imported, err
-		}
-		imported++
-	}
-	return imported, sc.Err()
-}
-
-// PackLoose folds every valid loose entry into a single new packed
-// index file (atomically: temp file + rename), removes the packed
-// loose files, and indexes the new pack. Invalid loose entries are
-// deleted rather than packed. The file is named <name>.pack, or
-// <name>-2.pack and so on when earlier packs of the same name exist —
-// existing packs are never overwritten, so repeated merges into one
-// directory (figures sharing baselines, incremental re-merges) only
-// ever add entries; duplicate keys across packs are harmless because
-// entries are content-addressed, so colliding packed entries hold
-// identical bytes and scanPacks may resolve them in any order. It
-// returns the number of entries packed. Packing is
-// coordinator-side maintenance (rowswap-sweep merge); it must not run
-// concurrently with writers of the same directory.
-func (c *Cache) PackLoose(name string) (int, error) {
-	if c == nil {
-		return 0, nil
-	}
-	keys := c.looseKeys()
-	var packed []string
-	tmp, err := os.CreateTemp(c.dir, "pack-*.tmp")
-	if err != nil {
-		return 0, err
-	}
-	defer os.Remove(tmp.Name())
-	bw := bufio.NewWriter(tmp)
-	for _, key := range keys {
-		data, err := os.ReadFile(c.path(key))
-		if err != nil {
-			continue
-		}
-		if _, ok := decodeEnvelope(data, key); !ok {
-			os.Remove(c.path(key))
-			continue
-		}
-		bw.Write(bytes.TrimSpace(data))
-		bw.WriteByte('\n')
-		packed = append(packed, key)
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return 0, err
-	}
-	if err := tmp.Close(); err != nil {
-		return 0, err
-	}
-	if len(packed) == 0 {
-		return 0, nil
-	}
-	dst := filepath.Join(c.dir, name+".pack")
-	for n := 2; ; n++ {
-		if _, err := os.Lstat(dst); errors.Is(err, fs.ErrNotExist) {
-			break
-		}
-		dst = filepath.Join(c.dir, fmt.Sprintf("%s-%d.pack", name, n))
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		return 0, err
-	}
-	for _, key := range packed {
-		os.Remove(c.path(key))
-	}
-	c.scanPacks()
-	return len(packed), nil
 }

@@ -2,9 +2,10 @@ package simcache
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -21,124 +22,93 @@ func fill(t *testing.T, c *Cache, tag string, n int) []string {
 	return keys
 }
 
-func TestPackLooseServesSameEntries(t *testing.T) {
-	dir := t.TempDir()
+// reopen opens dir afresh, as a new process would.
+func reopen(t *testing.T, dir string) *Cache {
+	t.Helper()
 	c, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := fill(t, c, "pack", 8)
-	n, err := c.PackLoose("shard-index")
-	if err != nil {
-		t.Fatal(err)
+	return c
+}
+
+// onlySegment returns the one segment file in dir.
+func onlySegment(t *testing.T, dir string) string {
+	t.Helper()
+	segs := segments(dir)
+	if len(segs) != 1 {
+		t.Fatalf("%d segment files in %s, want 1", len(segs), dir)
 	}
-	if n != 8 {
-		t.Fatalf("packed %d entries, want 8", n)
-	}
-	// The loose files must be gone, replaced by one pack file.
-	loose, _ := filepath.Glob(filepath.Join(dir, "*.json"))
-	if len(loose) != 0 {
-		t.Errorf("%d loose files survive packing", len(loose))
-	}
-	if _, err := os.Stat(filepath.Join(dir, "shard-index.pack")); err != nil {
-		t.Fatalf("pack file missing: %v", err)
-	}
-	// Both the packing cache and a fresh Open must serve every entry.
-	for name, cache := range map[string]*Cache{"same": c} {
-		for i, key := range keys {
-			var v map[string]int
-			if hit, err := cache.Get(key, &v); err != nil || !hit {
-				t.Fatalf("%s cache: Get(%d) = (%v, %v), want hit", name, i, hit, err)
-			}
-			if v["i"] != i {
-				t.Errorf("%s cache: entry %d holds %v", name, i, v)
-			}
-		}
-	}
-	reopened, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return segs[0]
+}
+
+// requireServed fails unless c serves every key with its fill value.
+func requireServed(t *testing.T, c *Cache, keys []string) {
+	t.Helper()
 	for i, key := range keys {
 		var v map[string]int
-		if hit, _ := reopened.Get(key, &v); !hit || v["i"] != i {
-			t.Fatalf("reopened cache: entry %d not served from pack (hit=%v v=%v)", i, hit, v)
+		if hit, err := c.Get(key, &v); err != nil || !hit || v["i"] != i {
+			t.Fatalf("entry %d: Get = (%v, %v) holding %v, want a hit holding %d", i, hit, err, v, i)
 		}
-	}
-	if got := reopened.Keys(); len(got) != 8 {
-		t.Errorf("Keys() after repack = %d entries, want 8", len(got))
 	}
 }
 
 // TestRepeatedPackingNeverDiscardsEntries is the regression test for
-// repeated merges into one cache directory: a second PackLoose with the
-// same name must not overwrite the first pack — every entry from both
-// rounds stays servable, across a fresh Open too.
+// repeated runs over one cache directory: each Cache appends to a
+// segment of its own and never rewrites another's, so every entry from
+// every round stays servable, across a fresh Open too.
 func TestRepeatedPackingNeverDiscardsEntries(t *testing.T) {
 	dir := t.TempDir()
-	c, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := reopen(t, dir)
 	first := fill(t, c, "round1", 3)
-	if n, err := c.PackLoose("shard-index"); err != nil || n != 3 {
-		t.Fatalf("first pack = (%d, %v)", n, err)
+	c2 := reopen(t, dir)
+	second := fill(t, c2, "round2", 4)
+	if segs := segments(dir); len(segs) != 2 {
+		t.Fatalf("%d segment files after two writing Caches, want 2", len(segs))
 	}
-	second := fill(t, c, "round2", 4)
-	if n, err := c.PackLoose("shard-index"); err != nil || n != 4 {
-		t.Fatalf("second pack = (%d, %v)", n, err)
-	}
-	packs, _ := filepath.Glob(filepath.Join(dir, "*.pack"))
-	if len(packs) != 2 {
-		t.Fatalf("%d pack files after two rounds, want 2 (no overwrite)", len(packs))
-	}
-	reopened, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cache := range []*Cache{c, reopened} {
-		for i, key := range append(append([]string(nil), first...), second...) {
-			var v map[string]int
-			if hit, _ := cache.Get(key, &v); !hit {
+	all := append(append([]string(nil), first...), second...)
+	for _, cache := range []*Cache{c2, reopen(t, dir)} {
+		for i, key := range all {
+			if !cache.Has(key) {
 				t.Fatalf("entry %d lost after repeated packing", i)
 			}
+		}
+		if got := len(cache.Keys()); got != 7 {
+			t.Errorf("Keys() = %d entries, want 7", got)
 		}
 	}
 }
 
-func TestLooseEntryShadowsPackedEntry(t *testing.T) {
-	c, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestLaterPutShadowsEarlierEntry: a key stored again is served with
+// its latest value, by the writing Cache and after a reopen, whether
+// the two lines share a segment or not.
+func TestLaterPutShadowsEarlierEntry(t *testing.T) {
+	dir := t.TempDir()
+	c := reopen(t, dir)
 	key := Key("shadow")
-	if err := c.Put(key, 1); err != nil {
+	for _, v := range []int{1, 2} {
+		if err := c.Put(key, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := reopen(t, dir).Put(key, 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.PackLoose("p"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Put(key, 2); err != nil {
-		t.Fatal(err)
-	}
+	// c has not seen the other Cache's line, which came after its Open.
 	var v int
 	if hit, _ := c.Get(key, &v); !hit || v != 2 {
-		t.Errorf("Get = (%v, %d), want the fresher loose value 2", hit, v)
+		t.Errorf("writer: Get = (%v, %d), want its latest value 2", hit, v)
+	}
+	if hit, _ := reopen(t, dir).Get(key, &v); !hit || v != 3 {
+		t.Errorf("reopened: Get = (%v, %d), want the latest value 3", hit, v)
 	}
 }
 
 func TestCorruptPackedEntryIsAMiss(t *testing.T) {
 	dir := t.TempDir()
-	c, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := fill(t, c, "corrupt-pack", 3)
-	if _, err := c.PackLoose("p"); err != nil {
-		t.Fatal(err)
-	}
-	// Flip a byte inside the pack's middle entry payload.
-	path := filepath.Join(dir, "p.pack")
+	keys := fill(t, reopen(t, dir), "corrupt-pack", 3)
+	// Flip a byte inside the segment's middle entry payload.
+	path := onlySegment(t, dir)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -147,10 +117,7 @@ func TestCorruptPackedEntryIsAMiss(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := reopen(t, dir)
 	hits := 0
 	for _, key := range keys {
 		var v map[string]int
@@ -161,31 +128,129 @@ func TestCorruptPackedEntryIsAMiss(t *testing.T) {
 		}
 	}
 	if hits != 2 {
-		t.Errorf("%d of 3 entries served from the corrupted pack, want exactly 2", hits)
+		t.Errorf("%d of 3 entries served from the corrupted segment, want exactly 2", hits)
 	}
 }
 
-func TestImportDirUnionsLooseAndPacked(t *testing.T) {
-	srcA := t.TempDir() // loose entries
-	srcB := t.TempDir() // packed entries
-	a, err := Open(srcA)
+// TestTornTailIsAMiss is the crash test: a daemon killed mid-append
+// leaves half an envelope, without its newline, at the tail of its
+// segment. Every complete entry before it is still served, the torn
+// key is a miss, and a fresh Put of that key is served after a second
+// reopen.
+func TestTornTailIsAMiss(t *testing.T) {
+	dir := t.TempDir()
+	keys := fill(t, reopen(t, dir), "torn", 3)
+	torn := Key("torn", 3)
+	line, err := encodeEnvelope(torn, map[string]int{"i": 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Open(srcB)
+	f, err := os.OpenFile(onlySegment(t, dir), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	keysA := fill(t, a, "import-a", 3)
-	keysB := fill(t, b, "import-b", 4)
-	if _, err := b.PackLoose("shard"); err != nil {
+	if _, err := f.Write(line[:len(line)/2]); err != nil {
 		t.Fatal(err)
 	}
+	f.Close()
 
-	merged, err := Open(t.TempDir())
+	c := reopen(t, dir)
+	requireServed(t, c, keys)
+	if c.Has(torn) {
+		t.Fatal("torn tail served as an entry")
+	}
+	if err := c.Put(torn, map[string]int{"i": 3}); err != nil {
+		t.Fatal(err)
+	}
+	requireServed(t, reopen(t, dir), append(keys, torn))
+}
+
+// TestFailedAppendLeavesNoTornBytes: a write that fails part-way (a
+// full disk, say) is cut back off the segment, so the next entry's
+// line starts at a line boundary and every line in the file decodes.
+func TestFailedAppendLeavesNoTornBytes(t *testing.T) {
+	dir := t.TempDir()
+	c := reopen(t, dir)
+	keys := fill(t, c, "append", 2)
+	errFull := errors.New("no space left on device")
+	writeAt = func(f *os.File, b []byte, off int64) (int, error) {
+		n, _ := f.WriteAt(b[:len(b)/2], off)
+		return n, errFull
+	}
+	lost := Key("append", 2)
+	err := c.Put(lost, map[string]int{"i": 2})
+	writeAt = (*os.File).WriteAt
+	if !errors.Is(err, errFull) {
+		t.Fatalf("failed append returned %v, want the write error", err)
+	}
+	if c.Has(lost) {
+		t.Error("failed append indexed its entry")
+	}
+	next := Key("append", 3)
+	if err := c.Put(next, map[string]int{"i": 3}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(onlySegment(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
+	lines := bytes.Split(bytes.TrimSuffix(data, []byte{'\n'}), []byte{'\n'})
+	for i, line := range lines {
+		if _, ok := parseEnvelope(line); !ok {
+			t.Errorf("segment line %d does not decode: %q", i, line)
+		}
+	}
+	if len(lines) != 3 {
+		t.Errorf("segment holds %d lines, want 3 (the failed append cut off)", len(lines))
+	}
+	fresh := reopen(t, dir)
+	requireServed(t, fresh, keys)
+	if fresh.Has(lost) || !fresh.Has(next) {
+		t.Errorf("after reopen: lost entry served %v, next entry served %v; want false, true", fresh.Has(lost), fresh.Has(next))
+	}
+}
+
+// TestConcurrentPutGetHas runs writers and readers on one Cache at
+// once, as the daemon's handlers and the matrix worker pool do; run
+// under -race it checks the index and segment locking.
+func TestConcurrentPutGetHas(t *testing.T) {
+	dir := t.TempDir()
+	c := reopen(t, dir)
+	const goroutines, perG = 8, 16
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				key := Key("concurrent", g, i)
+				if err := c.Put(key, map[string]int{"i": g*perG + i}); err != nil {
+					t.Error(err)
+					return
+				}
+				var v map[string]int
+				if hit, err := c.Get(key, &v); err != nil || !hit || v["i"] != g*perG+i {
+					t.Errorf("Get(%d,%d) = (%v, %v) holding %v", g, i, hit, err, v)
+				}
+				// Read another goroutine's keys while it writes them.
+				c.Has(Key("concurrent", (g+1)%goroutines, i))
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := len(reopen(t, dir).Keys()); got != goroutines*perG {
+		t.Errorf("reopened cache serves %d entries, want %d", got, goroutines*perG)
+	}
+}
+
+func TestImportDirUnionsSegments(t *testing.T) {
+	srcA, srcB := t.TempDir(), t.TempDir()
+	keysA := fill(t, reopen(t, srcA), "import-a", 3)
+	keysB := fill(t, reopen(t, srcB), "import-b", 2)
+	keysB = append(keysB, fill(t, reopen(t, srcB), "import-b2", 2)...) // a second segment
+
+	mergedDir := t.TempDir()
+	merged := reopen(t, mergedDir)
 	na, err := merged.ImportDir(srcA)
 	if err != nil {
 		t.Fatal(err)
@@ -197,46 +262,44 @@ func TestImportDirUnionsLooseAndPacked(t *testing.T) {
 	if na != 3 || nb != 4 {
 		t.Fatalf("imported (%d, %d) entries, want (3, 4)", na, nb)
 	}
-	for i, key := range append(append([]string(nil), keysA...), keysB...) {
-		if !merged.Has(key) {
-			t.Errorf("merged cache misses entry %d", i)
+	all := append(append([]string(nil), keysA...), keysB...)
+	for _, cache := range []*Cache{merged, reopen(t, mergedDir)} {
+		for i, key := range all {
+			if !cache.Has(key) {
+				t.Errorf("merged cache misses entry %d", i)
+			}
+		}
+		if got, want := cache.Keys(), 7; len(got) != want {
+			t.Errorf("merged Keys() = %d, want %d", len(got), want)
 		}
 	}
-	if got, want := merged.Keys(), 7; len(got) != want {
-		t.Errorf("merged Keys() = %d, want %d", len(got), want)
+	onlySegment(t, mergedDir)
+	if _, err := merged.ImportDir(filepath.Join(srcA, "missing")); err == nil {
+		t.Error("importing a missing directory succeeded")
 	}
 }
 
 func TestImportDirSkipsInvalidEntries(t *testing.T) {
 	src := t.TempDir()
-	s, err := Open(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := Key("good")
+	good, bad := Key("good"), Key("bad")
+	s := reopen(t, src)
 	if err := s.Put(good, 42); err != nil {
 		t.Fatal(err)
 	}
-	// A torn write and a checksum-corrupted entry must not be imported.
-	if err := os.WriteFile(filepath.Join(src, Key("torn")+".json"), []byte(`{"schema":1,"key":`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	bad := Key("bad")
 	if err := s.Put(bad, 43); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the payload itself (43 -> 63) so only the checksum can
-	// reject the entry.
-	path := filepath.Join(src, bad+".json")
+	// reject the entry, then leave a torn write after it.
+	path := onlySegment(t, src)
 	data, _ := os.ReadFile(path)
-	i := bytes.LastIndexByte(data, '4')
-	data[i] = '6'
-	os.WriteFile(path, data, 0o644)
-
-	merged, err := Open(t.TempDir())
-	if err != nil {
+	data[bytes.LastIndexByte(data, '4')] = '6'
+	data = append(data, `{"schema":2,"key":`...)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+
+	merged := reopen(t, t.TempDir())
 	n, err := merged.ImportDir(src)
 	if err != nil {
 		t.Fatal(err)
@@ -255,31 +318,59 @@ func TestImportDirSkipsInvalidEntries(t *testing.T) {
 
 func TestImportedEntryBytesAreVerbatim(t *testing.T) {
 	src := t.TempDir()
-	s, err := Open(src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := reopen(t, src)
 	key := Key("verbatim")
 	if err := s.Put(key, map[string]float64{"ipc": 1.2345678901234567}); err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(filepath.Join(src, key+".json"))
+	want, _ := s.GetRaw(key)
+	dst := t.TempDir()
+	if _, err := reopen(t, dst).ImportDir(src); err != nil {
+		t.Fatal(err)
+	}
+	src0, _ := os.ReadFile(onlySegment(t, src))
+	dst0, _ := os.ReadFile(onlySegment(t, dst))
+	got, ok := reopen(t, dst).GetRaw(key)
+	if !ok || !bytes.Equal(want, got) || !bytes.Equal(src0, dst0) {
+		t.Errorf("import changed entry bytes:\nsrc: %s\ndst: %s", src0, dst0)
+	}
+}
+
+// TestPutRawRejectsInvalidEntries: PutRaw stores only bytes that
+// validate as one line, and says so with ErrInvalidEntry, so an upload
+// path can tell a bad request from a failing store.
+func TestPutRawRejectsInvalidEntries(t *testing.T) {
+	dir := t.TempDir()
+	c := reopen(t, dir)
+	key := Key("raw")
+	valid, err := encodeEnvelope(key, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := Open(t.TempDir())
-	if err != nil {
+	// An envelope spanning lines would split into torn lines on disk.
+	split := bytes.Replace(valid, []byte(`,"payload"`), []byte(",\n\"payload\""), 1)
+	for name, data := range map[string][]byte{
+		"wrong key": valid, "multi-line": split, "truncated": valid[:len(valid)-1],
+	} {
+		k := key
+		if name == "wrong key" {
+			k = Key("other")
+		}
+		if err := c.PutRaw(k, data); !errors.Is(err, ErrInvalidEntry) {
+			t.Errorf("%s: PutRaw = %v, want ErrInvalidEntry", name, err)
+		}
+	}
+	if segs := segments(dir); len(segs) != 0 {
+		t.Errorf("rejected entries created %d segments", len(segs))
+	}
+	if err := c.PutRaw(key, valid); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := merged.ImportDir(src); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(merged.path(key))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("import changed entry bytes:\nsrc: %s\ndst: %s", want, got)
+	// A store that cannot write is an I/O error, not an invalid entry.
+	broken := reopen(t, filepath.Join(t.TempDir(), "gone"))
+	os.RemoveAll(broken.Dir())
+	if err := broken.PutRaw(key, valid); err == nil || errors.Is(err, ErrInvalidEntry) {
+		t.Errorf("PutRaw into a removed directory = %v, want an I/O error", err)
 	}
 }
 
@@ -288,8 +379,11 @@ func TestNilCachePackAndImportAreNoOps(t *testing.T) {
 	if n, err := c.ImportDir(t.TempDir()); n != 0 || err != nil {
 		t.Errorf("nil ImportDir = (%d, %v)", n, err)
 	}
-	if n, err := c.PackLoose("x"); n != 0 || err != nil {
-		t.Errorf("nil PackLoose = (%d, %v)", n, err)
+	if err := c.PutRaw(Key("x"), []byte("not an envelope")); err != nil {
+		t.Errorf("nil PutRaw = %v", err)
+	}
+	if data, ok := c.GetRaw(Key("x")); ok || data != nil {
+		t.Error("nil GetRaw served an entry")
 	}
 	if c.Has(Key("x")) {
 		t.Error("nil cache claims an entry")

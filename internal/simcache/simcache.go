@@ -7,24 +7,24 @@
 // repeated (workload, configuration) cell of the experiment matrix —
 // are simulated exactly once per code version.
 //
-// Entries are content-addressed JSON files under a cache directory.
-// The key is a stable SHA-256 over the workload description, the full
-// system configuration, the normalized simulation options, and a
-// fingerprint of the running binary, so results produced by a different
-// build (or a semantically different simulator, see SchemaVersion) can
-// never be served. Each entry carries a checksum of its payload;
-// corrupted or stale entries are detected on read, deleted, and
-// reported as misses so the caller transparently re-simulates, and
-// entries orphaned by old binaries are age-pruned on Open.
+// Entries are content-addressed JSON lines appended to segment files
+// (*.pack) under a cache directory. The key is a stable SHA-256 over
+// the workload description, the full system configuration, the
+// normalized simulation options, and a fingerprint of the running
+// binary, so results produced by a different build (or a semantically
+// different simulator, see SchemaVersion) can never be served. Each
+// entry carries a checksum of its payload; corrupted, torn or stale
+// entries are detected on read and reported as misses so the caller
+// transparently re-simulates and appends a fresh copy, and segments
+// orphaned by old binaries are age-pruned on Open.
 package simcache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -101,43 +101,47 @@ func DefaultDir() string {
 // behaves as an always-miss, never-store cache, so call sites need no
 // "caching disabled" branches.
 //
-// Entries live in two forms: one loose JSON file per result (written
-// by Put) and packed index files (*.pack, written by PackLoose) that
-// hold many entries in a single file so a sweep of thousands of cells
-// stops costing a directory scan per process start. Get serves from
-// either; loose entries win when a key exists in both.
+// Entries live in segment files (*.pack, see pack.go), one envelope
+// per line. Open indexes every valid line of every segment in the
+// directory; each Cache appends its writes to a segment of its own,
+// created by its first write, so concurrent writers of one directory
+// never interleave. The in-memory index is the only lookup path: a
+// Cache does not see lines other Caches append after its Open.
 type Cache struct {
 	dir string
 
-	// mu guards packed. Gets from the matrix worker pool run
-	// concurrently; pack mutations (Open, PackLoose, a corrupt packed
-	// entry being dropped) are rare.
-	mu     sync.RWMutex
-	packed map[string]packRef
+	// mu guards index, seg and end. Gets from the matrix worker pool
+	// and the daemon's handlers run concurrently with appends; a read
+	// holds it only to look up the entry's location.
+	mu    sync.RWMutex
+	index map[string]packRef
+	seg   *os.File // this Cache's segment; nil until the first write
+	end   int64    // seg's length: the offset of the next line
 }
 
 // pruneAge bounds the cache's growth: every rebuild of the simulator
 // changes the binary fingerprint and orphans all prior entries (they
-// can never be read again), so Open sweeps entries that have not been
-// touched for this long. Re-simulating an expired entry is always
+// can never be read again), so Open sweeps segments that have not been
+// written for this long. Re-simulating an expired entry is always
 // cheap relative to carrying stale files forever.
 const pruneAge = 14 * 24 * time.Hour
 
 // Open returns a cache rooted at dir, creating the directory if
-// needed, best-effort prunes entries orphaned by old binaries (see
-// pruneAge), and indexes any packed entry files.
+// needed, best-effort prunes segments orphaned by old binaries (see
+// pruneAge), and indexes the remaining ones.
 func Open(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	c := &Cache{dir: dir, packed: map[string]packRef{}}
+	c := &Cache{dir: dir, index: map[string]packRef{}}
 	c.prune(time.Now().Add(-pruneAge))
-	c.scanPacks()
+	c.scan()
 	return c, nil
 }
 
-// prune removes entry, pack, and temp files last modified before
-// cutoff. Failures are ignored: pruning is hygiene, not correctness.
+// prune removes segments, and files older builds left, last modified
+// before cutoff. Failures are ignored: pruning is hygiene, not
+// correctness.
 func (c *Cache) prune(cutoff time.Time) {
 	entries, err := os.ReadDir(c.dir)
 	if err != nil {
@@ -164,7 +168,8 @@ func (c *Cache) Dir() string {
 	return c.dir
 }
 
-// envelope wraps a payload with the integrity metadata Get verifies.
+// envelope wraps a payload with the integrity metadata every read
+// verifies.
 type envelope struct {
 	Schema  int             `json:"schema"`
 	Key     string          `json:"key"`
@@ -177,47 +182,46 @@ func payloadSum(p []byte) string {
 	return hex.EncodeToString(s[:])
 }
 
-func (c *Cache) path(key string) string {
-	return filepath.Join(c.dir, key+".json")
+// parseEnvelope is the single decoding path for segment lines,
+// uploads and imported segments, so every read — whatever its source —
+// enforces the same gates: one line, the current schema, and a payload
+// matching its checksum. Malformed input of any shape (truncated,
+// non-JSON, flipped bits, stale schema, embedded newlines) is reported
+// as !ok, never a panic (FuzzReadEntry pins this down).
+func parseEnvelope(data []byte) (envelope, bool) {
+	var e envelope
+	if bytes.IndexByte(data, '\n') >= 0 || json.Unmarshal(data, &e) != nil ||
+		e.Schema != SchemaVersion || e.Sum != payloadSum(e.Payload) {
+		return envelope{}, false
+	}
+	return e, true
 }
 
 // decodeEnvelope validates the serialized entry data against key and
-// returns its payload. It is the single decoding path for loose files,
-// packed entries, and imported shards, so every read — whatever the
-// storage form — enforces the same schema, key, and checksum gates.
-// Malformed input of any shape (truncated, non-JSON, flipped bits,
-// wrong key, stale schema) is reported as !ok, never a panic
-// (FuzzReadEntry pins this down).
+// returns its payload.
 func decodeEnvelope(data []byte, key string) (json.RawMessage, bool) {
-	var e envelope
-	if json.Unmarshal(data, &e) != nil ||
-		e.Schema != SchemaVersion || e.Key != key || e.Sum != payloadSum(e.Payload) {
+	e, ok := parseEnvelope(data)
+	if !ok || e.Key != key {
 		return nil, false
 	}
 	return e.Payload, true
 }
 
 // Get loads the entry for key into v. It returns (false, nil) on a
-// miss — including a corrupted, truncated, or stale entry, which is
-// deleted so the slot is clean for the re-simulated result. Keys not
-// found as loose files are looked up in the packed index.
+// miss — including a corrupted, torn, or stale entry, which leaves the
+// index so the re-simulated result's Put replaces it.
 func (c *Cache) Get(key string, v any) (bool, error) {
-	if c == nil {
+	_, payload, ok := c.read(key)
+	if !ok || json.Unmarshal(payload, v) != nil {
 		return false, nil
 	}
-	data, err := os.ReadFile(c.path(key))
-	if errors.Is(err, fs.ErrNotExist) {
-		return c.getPacked(key, v), nil
-	}
-	if err != nil {
-		return false, err
-	}
-	payload, ok := decodeEnvelope(data, key)
-	if !ok || json.Unmarshal(payload, v) != nil {
-		os.Remove(c.path(key))
-		return c.getPacked(key, v), nil
-	}
 	return true, nil
+}
+
+// Has reports whether the cache holds a valid entry for key.
+func (c *Cache) Has(key string) bool {
+	_, _, ok := c.read(key)
+	return ok
 }
 
 // encodeEnvelope serializes v into a one-line entry for key.
@@ -234,28 +238,7 @@ func encodeEnvelope(key string, v any) ([]byte, error) {
 	})
 }
 
-// writeEntry atomically persists already-encoded envelope bytes as the
-// loose file for key (temp file + rename), so concurrent matrix
-// workers and interrupted processes can never leave a torn entry that
-// Get would have to guess about.
-func (c *Cache) writeEntry(key string, data []byte) error {
-	tmp, err := os.CreateTemp(c.dir, "put-*.tmp")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), c.path(key))
-}
-
-// Put stores v under key as a loose entry file.
+// Put stores v under key, appending it to this Cache's segment.
 func (c *Cache) Put(key string, v any) error {
 	if c == nil {
 		return nil
@@ -264,5 +247,5 @@ func (c *Cache) Put(key string, v any) error {
 	if err != nil {
 		return err
 	}
-	return c.writeEntry(key, data)
+	return c.appendEntry(key, data)
 }

@@ -2,7 +2,6 @@ package simcache
 
 import (
 	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -134,13 +133,10 @@ func TestRunCachedHitIsBitIdenticalToColdRun(t *testing.T) {
 	}
 }
 
-// corrupt flips a byte in the middle of every entry file in dir.
+// corrupt flips a byte in the middle of every segment file in dir.
 func corrupt(t *testing.T, dir string) int {
 	t.Helper()
-	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	files := segments(dir)
 	for _, f := range files {
 		data, err := os.ReadFile(f)
 		if err != nil {
@@ -165,8 +161,8 @@ func TestCorruptedEntryIsDetectedAndResimulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := corrupt(t, dir); n == 0 {
-		t.Fatal("no cache entry written")
+	if n := corrupt(t, dir); n != 1 {
+		t.Fatalf("%d segments written, want 1", n)
 	}
 	redo, hit, err := RunCached(c, w, sys, opt)
 	if err != nil {
@@ -178,9 +174,12 @@ func TestCorruptedEntryIsDetectedAndResimulated(t *testing.T) {
 	if !reflect.DeepEqual(stripHost(cold), stripHost(redo)) {
 		t.Error("re-simulated result differs from the original")
 	}
-	// The re-simulation must have replaced the corrupted entry.
-	if _, hit, err := RunCached(c, w, sys, opt); err != nil || !hit {
-		t.Errorf("entry not restored after corruption: hit=%v err=%v", hit, err)
+	// The re-simulation must have replaced the corrupted entry, for
+	// this Cache and for the next process alike.
+	for _, cache := range []*Cache{c, reopen(t, dir)} {
+		if _, hit, err := RunCached(cache, w, sys, opt); err != nil || !hit {
+			t.Errorf("entry not restored after corruption: hit=%v err=%v", hit, err)
+		}
 	}
 }
 
@@ -194,16 +193,21 @@ func TestTruncatedEntryIsAMiss(t *testing.T) {
 	if err := c.Put(key, map[string]int{"a": 1}); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, key+".json")
-	if err := os.Truncate(path, 10); err != nil {
+	if err := os.Truncate(onlySegment(t, dir), 10); err != nil {
 		t.Fatal(err)
 	}
 	var v map[string]int
-	if hit, err := c.Get(key, &v); hit || err != nil {
-		t.Errorf("truncated Get = (%v, %v), want clean miss", hit, err)
+	for _, cache := range []*Cache{c, reopen(t, dir)} {
+		if hit, err := cache.Get(key, &v); hit || err != nil {
+			t.Errorf("truncated Get = (%v, %v), want clean miss", hit, err)
+		}
 	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Error("truncated entry not removed")
+	// The slot is clean: a fresh Put is served, after a reopen too.
+	if err := reopen(t, dir).Put(key, map[string]int{"a": 2}); err != nil {
+		t.Fatal(err)
+	}
+	if hit, _ := reopen(t, dir).Get(key, &v); !hit || v["a"] != 2 {
+		t.Errorf("re-Put after truncation: Get = (%v, %v), want a hit holding 2", hit, v)
 	}
 }
 
@@ -219,7 +223,7 @@ func TestStaleSchemaIsAMiss(t *testing.T) {
 	}
 	// Rewrite the entry claiming a different schema version; the
 	// checksum is valid, so only the version check can reject it.
-	path := filepath.Join(dir, key+".json")
+	path := onlySegment(t, dir)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -229,8 +233,10 @@ func TestStaleSchemaIsAMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	var v int
-	if hit, err := c.Get(key, &v); hit || err != nil {
-		t.Errorf("stale-schema Get = (%v, %v), want clean miss", hit, err)
+	for _, cache := range []*Cache{c, reopen(t, dir)} {
+		if hit, err := cache.Get(key, &v); hit || err != nil {
+			t.Errorf("stale-schema Get = (%v, %v), want clean miss", hit, err)
+		}
 	}
 }
 
@@ -260,27 +266,24 @@ func TestNormalizedPerfCachedMatchesSim(t *testing.T) {
 	}
 }
 
+// TestOpenPrunesExpiredEntries: pruning works per segment. A segment
+// last written before the horizon is removed with its entries; one
+// written since survives.
 func TestOpenPrunesExpiredEntries(t *testing.T) {
 	dir := t.TempDir()
-	c, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	oldKey, newKey := Key("old"), Key("new")
-	if err := c.Put(oldKey, 1); err != nil {
+	if err := reopen(t, dir).Put(oldKey, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put(newKey, 2); err != nil {
-		t.Fatal(err)
-	}
-	// Age the first entry past the prune horizon.
+	// Age the first Cache's segment past the prune horizon.
 	stale := time.Now().Add(-pruneAge - time.Hour)
-	if err := os.Chtimes(filepath.Join(dir, oldKey+".json"), stale, stale); err != nil {
+	if err := os.Chtimes(onlySegment(t, dir), stale, stale); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir); err != nil {
+	if err := reopen(t, dir).Put(newKey, 2); err != nil {
 		t.Fatal(err)
 	}
+	c := reopen(t, dir)
 	var v int
 	if hit, _ := c.Get(oldKey, &v); hit {
 		t.Error("expired entry survived Open")
@@ -288,4 +291,5 @@ func TestOpenPrunesExpiredEntries(t *testing.T) {
 	if hit, _ := c.Get(newKey, &v); !hit {
 		t.Error("fresh entry pruned")
 	}
+	onlySegment(t, dir)
 }

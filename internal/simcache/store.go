@@ -1,10 +1,9 @@
 package simcache
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
 
 	"repro/internal/config"
 	"repro/internal/sim"
@@ -85,7 +84,7 @@ func baselineOf(sys config.System) config.System {
 }
 
 // DecodeEntry validates serialized entry bytes (one envelope, exactly
-// what a loose entry file or a packed line holds) against key and
+// what a segment line holds) against key and
 // returns the payload. It is the exported face of the cache's single
 // decoding path, so network transports enforce the same schema, key,
 // and checksum gates as local reads: malformed input of any shape is
@@ -95,41 +94,35 @@ func DecodeEntry(data []byte, key string) (json.RawMessage, bool) {
 }
 
 // EncodeEntry serializes v into the one-line checksummed envelope for
-// key — the exact bytes Put would write to disk, so an entry shipped
+// key — the exact line Put would append to disk, so an entry shipped
 // over the network is byte-identical to one written locally.
 func EncodeEntry(key string, v any) ([]byte, error) {
 	return encodeEnvelope(key, v)
 }
 
-// GetRaw returns the validated envelope bytes stored for key, from the
-// loose file or the packed index. A corrupt loose entry is deleted
-// (like Get) and the packed index consulted instead. Network servers
-// use it to serve entries verbatim, preserving checksums end to end.
+// GetRaw returns the validated envelope bytes stored for key. Network
+// servers use it to serve entries verbatim, preserving checksums end
+// to end.
 func (c *Cache) GetRaw(key string) ([]byte, bool) {
-	if c == nil {
-		return nil, false
-	}
-	data, err := os.ReadFile(c.path(key))
-	if err == nil {
-		if _, ok := decodeEnvelope(data, key); ok {
-			return bytes.TrimSpace(data), true
-		}
-		os.Remove(c.path(key))
-	}
-	packed, _, ok := c.packedRaw(key)
-	return packed, ok
+	data, _, ok := c.read(key)
+	return data, ok
 }
 
+// ErrInvalidEntry marks entry bytes PutRaw refused because they fail
+// validation (schema, key, or checksum), as opposed to a failure of
+// the store itself.
+var ErrInvalidEntry = errors.New("simcache: entry bytes fail validation (schema, key, or checksum)")
+
 // PutRaw validates already-encoded envelope bytes against key and
-// persists them as the loose entry file. Invalid bytes are rejected
-// with an error and never written, so an upload path built on PutRaw
-// can not poison the store.
+// appends them verbatim. Invalid bytes are rejected with an error
+// wrapping ErrInvalidEntry and never written, so an upload path built
+// on PutRaw can not poison the store.
 func (c *Cache) PutRaw(key string, data []byte) error {
 	if c == nil {
 		return nil
 	}
 	if _, ok := decodeEnvelope(data, key); !ok {
-		return fmt.Errorf("simcache: entry bytes for key %.12s… fail validation (schema, key, or checksum); refusing to store", key)
+		return fmt.Errorf("%w: refusing to store key %.12s…", ErrInvalidEntry, key)
 	}
-	return c.writeEntry(key, bytes.TrimSpace(data))
+	return c.appendEntry(key, data)
 }

@@ -31,7 +31,7 @@ func TestAccumulatorFoldOrderMatchesMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	mergedDir := t.TempDir()
-	batch, err := m.Merge(mergedDir, []string{dirA, dirB}, false, nil)
+	batch, err := m.Merge(mergedDir, []string{dirA, dirB}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

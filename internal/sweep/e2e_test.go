@@ -97,9 +97,9 @@ func TestSweepEndToEndTwoWorkerProcesses(t *testing.T) {
 	if len(mergeOut) == 0 {
 		t.Error("merge rendered no figure output")
 	}
-	// The merged cache must have been folded into a packed shard index.
-	if _, err := os.Stat(filepath.Join(dir, "merged", "shard-index.pack")); err != nil {
-		t.Errorf("merged cache has no packed shard index: %v", err)
+	// The merged entries must sit in one segment, not a file each.
+	if files, _ := os.ReadDir(filepath.Join(dir, "merged")); len(files) != 1 || filepath.Ext(files[0].Name()) != ".pack" {
+		t.Errorf("merged cache holds %d files, want one segment", len(files))
 	}
 
 	data, err := os.ReadFile(results)

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"os"
@@ -119,7 +120,7 @@ func TestSchema2PerfManifestStillWorks(t *testing.T) {
 	if _, err := m.RunShard(1, dirB, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Merge(t.TempDir(), []string{dirA, dirB}, false, nil)
+	res, err := m.Merge(t.TempDir(), []string{dirA, dirB}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestDistributedSecurityMatchesOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Import order B-then-A: merge must not care.
-	res, err := m.Merge(t.TempDir(), []string{dirB, dirA}, false, nil)
+	res, err := m.Merge(t.TempDir(), []string{dirB, dirA}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +298,7 @@ func TestMergeRejectsCorruptTally(t *testing.T) {
 	if err := cache.Put(m.Jobs[0].Key, json.RawMessage(`{"trials":1}`)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Merge(t.TempDir(), []string{dir}, false, nil); err == nil ||
+	if _, err := m.Merge(t.TempDir(), []string{dir}, nil); err == nil ||
 		!strings.Contains(err.Error(), "invalid") {
 		t.Errorf("merge accepted a corrupt tally: %v", err)
 	}
@@ -312,11 +313,37 @@ func TestMergeAuditsMissingTally(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := m.Jobs[7]
-	if err := os.Remove(filepath.Join(dir, victim.Key+".json")); err != nil {
-		t.Fatal(err)
-	}
-	_, err := m.Merge(t.TempDir(), []string{dir}, false, nil)
+	dropEntry(t, dir, victim.Key)
+	_, err := m.Merge(t.TempDir(), []string{dir}, nil)
 	if err == nil || !strings.Contains(err.Error(), "missing") || !strings.Contains(err.Error(), victim.Label) {
 		t.Errorf("missing tally not audited by name: %v", err)
+	}
+}
+
+// dropEntry deletes key's lines from every segment of the cache
+// directory dir, as if its result had never been stored.
+func dropEntry(t *testing.T, dir, key string) {
+	t.Helper()
+	segs, _ := filepath.Glob(filepath.Join(dir, "*.pack"))
+	dropped := 0
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var kept []byte
+		for _, line := range bytes.SplitAfter(data, []byte{'\n'}) {
+			if bytes.Contains(line, []byte(`"key":"`+key+`"`)) {
+				dropped++
+				continue
+			}
+			kept = append(kept, line...)
+		}
+		if err := os.WriteFile(seg, kept, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if dropped == 0 {
+		t.Fatalf("no stored entry for key %.12s… to drop", key)
 	}
 }

@@ -119,7 +119,7 @@ func TestMergeServerReadsOneSnapshot(t *testing.T) {
 	if _, err := os.Stat(mergedDir); !os.IsNotExist(err) {
 		t.Errorf("server merge touched mergedDir (stat: %v)", err)
 	}
-	want, err := m.Merge(t.TempDir(), []string{store}, false, nil)
+	want, err := m.Merge(t.TempDir(), []string{store}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/objstore"
 	"repro/internal/report"
 	"repro/internal/sim"
+	"repro/internal/simcache"
 )
 
 // These are the acceptance tests of the networked sweep: a real
@@ -342,8 +343,7 @@ func TestServerSweepWorkStealingTwoWorkerProcesses(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-server", url, "-merged-dir", filepath.Join(dir, "merged")}, "apply only to -dirs"},
-		{[]string{"-server", url, "-no-pack"}, "apply only to -dirs"},
+		{[]string{"-server", url, "-merged-dir", filepath.Join(dir, "merged")}, "applies only to -dirs"},
 		{[]string{"-dirs", filepath.Join(dir, "store")}, "-dirs needs -merged-dir"},
 	} {
 		cmd := exec.Command(sweepBin, append([]string{"merge", "-manifest", manifest}, tc.args...)...)
@@ -645,6 +645,27 @@ func TestServerSweepDaemonRestartMidSweep(t *testing.T) {
 	run("work", "-server", urlCold, "-name", "cold", "-manifest", manifest)
 	coldSecs := time.Since(coldStart).Seconds()
 
+	// Host-independent storage check: the store holds a segment per
+	// daemon that wrote, not a file per entry.
+	storeCache, err := simcache.Open(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	storeEntries := len(storeCache.Keys())
+	storeFiles := 0
+	files, err := os.ReadDir(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if f.Type().IsRegular() {
+			storeFiles++
+		}
+	}
+	if storeEntries < jobs || storeFiles >= storeEntries {
+		t.Errorf("store serves %d entries from %d files; want at least %d entries in fewer files than entries", storeEntries, storeFiles, jobs)
+	}
+
 	perWorkerHB := map[string]any{}
 	if workers, ok := st["workers"].(map[string]any); ok {
 		for name, row := range workers {
@@ -664,6 +685,8 @@ func TestServerSweepDaemonRestartMidSweep(t *testing.T) {
 		"heartbeats_total":              heartbeats,
 		"heartbeats_per_worker":         perWorkerHB,
 		"instructions_per_core":         instructions,
+		"store_entries":                 storeEntries,
+		"store_files":                   storeFiles,
 	})
 }
 

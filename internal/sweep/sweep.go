@@ -967,10 +967,9 @@ func (m *Manifest) runJobPool(indices []int, workers int, progress io.Writer, wh
 // manifest's fan-out maps. The assembly arithmetic is
 // report.MatrixPlan.Rows — the same code the in-process matrix uses —
 // so each figure's merged rows are bit-identical to a single-process
-// run. When pack is true the merged loose entries are folded into a
-// packed shard index ("shard-index.pack") so later readers of mergedDir pay
-// one file scan instead of thousands of opens.
-func (m *Manifest) Merge(mergedDir string, workerDirs []string, pack bool, progress io.Writer) (*Results, error) {
+// run. The imported entries land in one segment of mergedDir, so later
+// readers pay one file scan instead of thousands of opens.
+func (m *Manifest) Merge(mergedDir string, workerDirs []string, progress io.Writer) (*Results, error) {
 	p, err := m.expand()
 	if err != nil {
 		return nil, err
@@ -988,22 +987,22 @@ func (m *Manifest) Merge(mergedDir string, workerDirs []string, pack bool, progr
 			fmt.Fprintf(progress, "  imported %d entries from %s\n", n, dir)
 		}
 	}
-	return m.assemble(p, cache, pack, progress)
+	return m.assemble(p, cache)
 }
 
 // assemble audits that the merged cache holds a valid result for every
 // manifest job, reconstructs every covered figure's rows via the
 // fan-out maps — simulation results into performance rows, batch
-// tallies folded per security cell into MonteCarloResult rows — and
-// optionally packs the loose entries. It is Merge's tail; MergeServer
-// reads the daemon's own fold instead, so Merge over the daemon's
-// store directory is its independent re-fold oracle. Tally folding is
+// tallies folded per security cell into MonteCarloResult rows. It is
+// Merge's tail; MergeServer reads the daemon's own fold instead, so
+// Merge over the daemon's store directory is its independent re-fold
+// oracle. Tally folding is
 // exact (attack.Tally merges over integer accumulators), so the
 // security rows are bit-identical to a single-process oracle run of
 // the same seeded trial stream, whatever order workers completed the
 // batches in. A stored tally that decodes but violates its invariants
 // fails the merge loudly — corrupt data never folds in.
-func (m *Manifest) assemble(p plan, cache *simcache.Cache, pack bool, progress io.Writer) (*Results, error) {
+func (m *Manifest) assemble(p plan, cache *simcache.Cache) (*Results, error) {
 	acc := m.newAccumulator(p)
 	for ji := range m.Jobs {
 		if _, err := acc.FoldJob(ji, cache); err != nil {
@@ -1018,19 +1017,7 @@ func (m *Manifest) assemble(p plan, cache *simcache.Cache, pack bool, progress i
 			len(missing), len(m.Jobs), strings.Join(missing, "\n  "))
 	}
 	out, _, err := acc.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	if pack {
-		n, err := cache.PackLoose("shard-index")
-		if err != nil {
-			return nil, fmt.Errorf("sweep: pack merged entries: %w", err)
-		}
-		if progress != nil {
-			fmt.Fprintf(progress, "  packed %d entries into shard-index.pack\n", n)
-		}
-	}
-	return out, nil
+	return out, err
 }
 
 // FigureResults is one figure's reconstructed rows, ready to render.

@@ -361,7 +361,7 @@ func TestShardedSweepMatchesInProcessMatrix(t *testing.T) {
 					t.Fatalf("shard %d ran no jobs", shard)
 				}
 			}
-			res, err := m.Merge(filepath.Join(base, "merged"), dirs, true, nil)
+			res, err := m.Merge(filepath.Join(base, "merged"), dirs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -417,7 +417,7 @@ func TestEvaluationSweepMatchesPerFigureRuns(t *testing.T) {
 	if totalJobs != len(m.Jobs) {
 		t.Fatalf("shards ran %d jobs, manifest lists %d", totalJobs, len(m.Jobs))
 	}
-	res, err := m.Merge(filepath.Join(base, "merged"), dirs, true, nil)
+	res, err := m.Merge(filepath.Join(base, "merged"), dirs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +466,7 @@ func TestMergeReportsMissingShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Worker 1 never ran.
-	_, err := m.Merge(filepath.Join(dir, "merged"), []string{filepath.Join(dir, "w0")}, false, nil)
+	_, err := m.Merge(filepath.Join(dir, "merged"), []string{filepath.Join(dir, "w0")}, nil)
 	if err == nil {
 		t.Fatal("merge of an incomplete sweep succeeded")
 	}
@@ -491,7 +491,7 @@ func TestMergedResultsRenderAndRoundTrip(t *testing.T) {
 	if _, err := m.RunShard(0, filepath.Join(dir, "w0"), 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Merge(filepath.Join(dir, "merged"), []string{filepath.Join(dir, "w0")}, false, nil)
+	res, err := m.Merge(filepath.Join(dir, "merged"), []string{filepath.Join(dir, "w0")}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

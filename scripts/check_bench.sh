@@ -21,7 +21,9 @@
 #   machine-dependent wall times, so there is no regression threshold;
 #   the gate instead validates structure: the file is a JSON object of
 #   objects, every known section carries its required keys, and unknown
-#   sections are tolerated (a future e2e may add one).
+#   sections are tolerated (a future e2e may add one). One check is
+#   host-independent and so does hold a threshold: the service
+#   section's store must keep fewer files than entries.
 #
 # Usage: ./scripts/check_bench.sh BASELINE.json FRESH.json [tolerance]
 set -u
@@ -88,7 +90,8 @@ REQUIRED = {
                       "work_stealing_wall_seconds", "lpt_presharded_wall_seconds"},
     "service": {"benchmark", "jobs", "jobs_recovered_on_restart",
                 "restart_recovery_wall_seconds", "cold_rerun_wall_seconds",
-                "heartbeats_total", "heartbeats_per_worker"},
+                "heartbeats_total", "heartbeats_per_worker",
+                "store_entries", "store_files"},
     "monte_carlo": {"benchmark", "jobs", "monte_carlo_batch_jobs",
                     "trials_total", "trials_per_second",
                     "distributed_wall_seconds", "single_process_wall_seconds"},
@@ -107,6 +110,11 @@ else:
         missing = REQUIRED.get(name, set()) - set(section)
         if missing:
             problems.append(f"section {name!r} lacks keys {sorted(missing)}")
+        elif name == "service" and section["store_files"] >= section["store_entries"]:
+            # Host-independent: the store appends entries to a segment
+            # per writer, so one file per entry means that form is back.
+            problems.append(f"section 'service': store_files {section['store_files']} >= "
+                            f"store_entries {section['store_entries']} (one file per entry)")
         else:
             tag = "known" if name in REQUIRED else "tolerated (unknown)"
             print(f"bench gate: section {name!r} OK ({tag}, {len(section)} keys)")
