@@ -1,14 +1,14 @@
 // Command rowswap-cached is the networked sweep's store/coordinator
 // daemon: an HTTP content-addressed object store plus a work-stealing
-// job queue over an evaluation manifest. Workers (rowswap-sweep work
-// or run-shard -server) push each result the moment it is simulated
-// and claim their next job from the queue; the daemon folds every
+// job queue over an evaluation manifest. Workers (rowswap-sweep work)
+// push each result the moment it is simulated and claim their next job
+// from the queue; the daemon folds every
 // completion into per-manifest figure state, and the merge stage
 // (rowswap-sweep merge -server) renders from that snapshot — so a
 // multi-machine run of the paper's evaluation needs no copied cache
 // directories at all.
 //
-//	rowswap-sweep  plan -all -shards 1 -out manifest.json       # coordinator
+//	rowswap-sweep  plan -all -out manifest.json                 # coordinator
 //	rowswap-cached -manifest manifest.json -store-dir store     # coordinator (keep running)
 //	rowswap-sweep  work -server http://COORD:8344 -name w0      # each worker machine
 //	rowswap-sweep  merge -server http://COORD:8344 \
@@ -26,9 +26,9 @@
 // runs, so only silent (dead) workers are requeued, never slow ones.
 //
 // Results live in an ordinary simcache directory (-store-dir), one
-// appended segment per daemon run, so the store can be merged like any
-// local cache. A claimed job
-// not completed or heartbeated within -lease is handed to the next
+// appended segment per daemon run, which sweep.Manifest.Merge can
+// re-fold in-process to check the daemon's fold. A claimed job not
+// completed or heartbeated within -lease is handed to the next
 // claimer, so a worker killed mid-run delays its job by one lease
 // instead of stalling the sweep.
 // The daemon never simulates and never interprets a job beyond its

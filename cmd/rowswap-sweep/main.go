@@ -2,19 +2,13 @@
 // worker processes (or machines) and merges the results back into its
 // figures, bit-identical to single-process runs.
 //
-// The sweep has three stages, coordinated purely through files:
+// A rowswap-cached daemon is the interchange: it serves the plan as a
+// work-stealing queue, stores every pushed result, and folds each one
+// into the figures as it lands, so no directory ever changes hands:
 //
-//	rowswap-sweep plan      -all -shards 2 -out manifest.json
-//	rowswap-sweep run-shard -manifest manifest.json -shard 0 -cache-dir w0   # worker 0
-//	rowswap-sweep run-shard -manifest manifest.json -shard 1 -cache-dir w1   # worker 1
-//	rowswap-sweep merge     -manifest manifest.json -dirs w0,w1 -merged-dir merged -out results.json
-//
-// or — with a rowswap-cached daemon as the interchange — through the
-// network, which needs no shared or copied directories and replaces
-// plan-time sharding with a work-stealing queue:
-//
-//	rowswap-cached -manifest manifest.json -store-dir store                  # coordinator
-//	rowswap-sweep work  -server http://COORD:8344 -name w0                   # each worker
+//	rowswap-sweep plan  -all -out manifest.json                           # coordinator
+//	rowswap-cached -manifest manifest.json -store-dir store               # coordinator
+//	rowswap-sweep work  -server http://COORD:8344 -name w0                # each worker
 //	rowswap-sweep merge -server http://COORD:8344 -manifest manifest.json
 //
 // plan expands one figure (-fig 14), several (-fig 4,14), or the whole
@@ -24,19 +18,16 @@
 // and the closed-form 1a/7/13/t1/t4/t5) contribute seeded Monte-Carlo
 // trial batches (-trials scales the per-cell trial count, -mc-seed
 // roots the RNG derivation). Both job kinds flow through the same
-// shard / work-steal / merge pipeline. run-shard is the worker entry
-// point (stateless and idempotent: re-running redoes only missing
-// jobs); merge unions the worker cache directories, audits
-// completeness, folds batch tallies into each security figure's
-// Monte-Carlo rows — bit-identical to a single-process run of the same
-// seeded trials, in any completion order — renders every covered
-// figure, and writes a results file that rowswap-figures -manifest can
-// re-render without simulating. merge -server skips the re-fold: the daemon has already
-// folded every completed job, so one GET of its figure snapshot is the
-// result set (no local cache is written), checked for full coverage
-// and against this build's plan. All stages must run the same build of
-// this binary — the manifest records the binary fingerprint and every
-// stage verifies it.
+// work-steal / merge pipeline. work registers the manifest with the
+// daemon and claims jobs until the queue drains (stateless and
+// idempotent: a re-run finds finished jobs in the store). merge reads
+// the daemon's folded figure snapshot — Monte-Carlo rows included,
+// bit-identical to a single-process run of the same seeded trials in
+// any completion order — checks it for full coverage and against this
+// build's plan, renders every covered figure, and writes a results
+// file that rowswap-figures -manifest can re-render without
+// simulating. All stages must run the same build of this binary — the
+// manifest records the binary fingerprint and every stage verifies it.
 //
 // See README.md for a whole-evaluation two-worker walkthrough.
 package main
@@ -58,18 +49,15 @@ import (
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
-  rowswap-sweep plan      -all | -fig ID[,ID...] [-shards N] [-strategy round-robin|cost] [-quick] [-workloads a,b] [-cores N] [-instructions N] [-window NS] -out manifest.json
-  rowswap-sweep run-shard -manifest manifest.json -shard I (-cache-dir DIR | -server URL) [-workers N] [-progress]
-  rowswap-sweep work      -server URL [-manifest manifest.json] [-name NAME] [-workers N] [-progress]
-  rowswap-sweep merge     -manifest manifest.json -dirs DIR0,DIR1,... -merged-dir DIR [-out results.json] [-progress]
-  rowswap-sweep merge     -manifest manifest.json -server URL [-out results.json] [-progress]
+  rowswap-sweep plan  -all | -fig ID[,ID...] [-quick] [-workloads a,b] [-cores N] [-instructions N] [-window NS] -out manifest.json
+  rowswap-sweep work  -server URL [-manifest manifest.json] [-name NAME] [-workers N] [-progress]
+  rowswap-sweep merge -manifest manifest.json -server URL [-out results.json] [-progress]
 
-run-shard executes a plan-time shard; work registers its manifest with
-a rowswap-cached daemon (idempotent — the daemon keys each evaluation
-by manifest fingerprint) and claims jobs from that manifest's
-work-stealing queue until the evaluation is done. With -server,
-results are pushed to the daemon, merge reads the daemon's folded
-figure snapshot, and no cache directories change hands.
+work registers its manifest with a rowswap-cached daemon (idempotent —
+the daemon keys each evaluation by manifest fingerprint) and claims
+jobs from that manifest's work-stealing queue until the evaluation is
+done, pushing every result to the daemon. merge reads the daemon's
+folded figure snapshot; no cache directories change hands.
 `)
 	os.Exit(2)
 }
@@ -82,8 +70,6 @@ func main() {
 	switch os.Args[1] {
 	case "plan":
 		err = runPlan(os.Args[2:])
-	case "run-shard":
-		err = runShard(os.Args[2:])
 	case "work":
 		err = runWork(os.Args[2:])
 	case "merge":
@@ -101,13 +87,11 @@ func runPlan(args []string) error {
 	fs := flag.NewFlagSet("plan", flag.ExitOnError)
 	fig := fs.String("fig", "", "figure(s) to sweep, comma-separated: performance (4, 12, 14, 15, 16, cmp) and/or security (1a, 6, 7, 10, 13, t1, t4, t5)")
 	all := fs.Bool("all", false, "plan the whole paper: every performance and security figure in one deduplicated manifest")
-	shards := fs.Int("shards", 2, "number of worker shards")
 	trials := fs.Int("trials", 1,
 		fmt.Sprintf("Monte-Carlo trial multiplier: each security cell runs N x %d trials", attack.DefaultTrials))
 	mcSeed := fs.Uint64("mc-seed", report.DefaultSecuritySeed, "Monte-Carlo root seed")
 	mcBatch := fs.Int("mc-batch", 0,
 		fmt.Sprintf("Monte-Carlo trials per batch job (0 = %d)", attack.DefaultBatch))
-	strategy := fs.String("strategy", sweep.StrategyRoundRobin, "job assignment: round-robin or cost (LPT over static cost estimates)")
 	quick := fs.Bool("quick", false, "use the 12-workload subset")
 	workloads := fs.String("workloads", "", "comma-separated workload subset (overrides -quick; default all 78)")
 	cores := fs.Int("cores", 8, "simulated cores per workload")
@@ -138,8 +122,6 @@ func runPlan(args []string) error {
 		opt.Workloads = strings.Split(*workloads, ",")
 	}
 	po := sweep.PlanOptions{
-		Shards:   *shards,
-		Strategy: *strategy,
 		MCTrials: *trials * attack.DefaultTrials,
 		MCBatch:  *mcBatch,
 		MCSeed:   *mcSeed,
@@ -167,56 +149,7 @@ func runPlan(args []string) error {
 		summary += fmt.Sprintf(" + %d Monte-Carlo batch jobs (%d security figure(s), %d cells x %d trials, seed %#x)",
 			len(m.Jobs)-nSim, len(m.Security.Figures), len(m.Security.Cells), m.Security.Trials, m.Security.Seed)
 	}
-	fmt.Printf("%s over %d shards (%s) -> %s\n", summary, m.Shards, m.Strategy, *out)
-	return nil
-}
-
-func runShard(args []string) error {
-	fs := flag.NewFlagSet("run-shard", flag.ExitOnError)
-	manifest := fs.String("manifest", "", "manifest written by plan")
-	shard := fs.Int("shard", -1, "shard index to execute")
-	cacheDir := fs.String("cache-dir", "", "result cache directory this worker writes")
-	server := fs.String("server", "", "rowswap-cached URL to push results to instead of a local cache directory")
-	workers := fs.Int("workers", 0, "simulation goroutines (0 = all CPUs)")
-	progress := fs.Bool("progress", false, "print per-job progress")
-	fs.Parse(args)
-
-	if *manifest == "" || *shard < 0 {
-		return fmt.Errorf("missing -manifest or -shard")
-	}
-	if (*cacheDir == "") == (*server == "") {
-		return fmt.Errorf("exactly one of -cache-dir (filesystem interchange) or -server (rowswap-cached transport) is required")
-	}
-	m, raw, err := sweep.LoadManifestRaw(*manifest)
-	if err != nil {
-		return err
-	}
-	var prog *os.File
-	if *progress {
-		prog = os.Stderr
-	}
-	if *server != "" {
-		// Registering (idempotent, as work does) gives the shard's jobs a
-		// queue to complete in, so the daemon folds them as they land.
-		client := objstore.NewClient(*server)
-		reg, err := client.Register(raw)
-		if err != nil {
-			return fmt.Errorf("registering manifest with %s: %w", client.Base(), err)
-		}
-		stats, err := m.RunShardServer(*shard, client.ForManifest(reg.Fingerprint), *workers, progIfSet(prog))
-		if err != nil {
-			return err
-		}
-		fmt.Printf("shard %d: %d jobs done (%d served from store) -> %s\n",
-			*shard, stats.Jobs, stats.Hits, *server)
-		return nil
-	}
-	stats, err := m.RunShard(*shard, *cacheDir, *workers, progIfSet(prog))
-	if err != nil {
-		return err
-	}
-	fmt.Printf("shard %d: %d jobs done (%d served from cache) -> %s\n",
-		*shard, stats.Jobs, stats.Hits, *cacheDir)
+	fmt.Printf("%s -> %s\n", summary, *out)
 	return nil
 }
 
@@ -282,9 +215,7 @@ func runWork(args []string) error {
 func runMerge(args []string) error {
 	fs := flag.NewFlagSet("merge", flag.ExitOnError)
 	manifest := fs.String("manifest", "", "manifest written by plan")
-	dirs := fs.String("dirs", "", "comma-separated worker cache directories")
-	server := fs.String("server", "", "rowswap-cached URL whose folded figure snapshot is the result set, instead of worker directories")
-	mergedDir := fs.String("merged-dir", "", "with -dirs: directory the merged cache is built in")
+	server := fs.String("server", "", "rowswap-cached URL whose folded figure snapshot is the result set")
 	out := fs.String("out", "", "results file for rowswap-figures -manifest (optional)")
 	progress := fs.Bool("progress", false, "print merge progress")
 	fs.Parse(args)
@@ -292,16 +223,16 @@ func runMerge(args []string) error {
 	if *manifest == "" {
 		return fmt.Errorf("missing -manifest")
 	}
-	if (*dirs == "") == (*server == "") {
-		return fmt.Errorf("exactly one of -dirs (filesystem interchange) or -server (rowswap-cached transport) is required")
-	}
-	if *dirs != "" && *mergedDir == "" {
-		return fmt.Errorf("-dirs needs -merged-dir, the directory the worker caches are merged into")
-	}
-	if *server != "" && *mergedDir != "" {
-		return fmt.Errorf("-merged-dir applies only to -dirs: a -server merge reads the daemon's folded snapshot and writes no local cache")
+	if *server == "" {
+		return fmt.Errorf("missing -server (the rowswap-cached daemon the workers pushed to)")
 	}
 	m, raw, err := sweep.LoadManifestRaw(*manifest)
+	if err != nil {
+		return err
+	}
+	// The snapshot lives in the manifest's namespace on the daemon,
+	// keyed by the same fingerprint registration derives.
+	fp, err := objstore.ManifestFingerprint(raw)
 	if err != nil {
 		return err
 	}
@@ -309,17 +240,7 @@ func runMerge(args []string) error {
 	if *progress {
 		prog = os.Stderr
 	}
-	var res *sweep.Results
-	if *server != "" {
-		// The snapshot lives in the manifest's namespace on the daemon,
-		// keyed by the same fingerprint registration derives.
-		var fp string
-		if fp, err = objstore.ManifestFingerprint(raw); err == nil {
-			res, err = m.MergeServer("", objstore.NewClient(*server).ForManifest(fp), false, progIfSet(prog))
-		}
-	} else {
-		res, err = m.Merge(*mergedDir, strings.Split(*dirs, ","), progIfSet(prog))
-	}
+	res, err := m.MergeServer("", objstore.NewClient(*server).ForManifest(fp), false, progIfSet(prog))
 	if err != nil {
 		return err
 	}

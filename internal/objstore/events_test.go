@@ -298,11 +298,11 @@ func TestServerEventsSeedFromWarmStore(t *testing.T) {
 }
 
 // TestServerLeaseLessCompletionAndIdleRecovery covers results pushed
-// outside the claim protocol, as run-shard -server pushes them. A
-// lease-less completion needs the stored entry and is not counted
-// stale. A figures request on an idle queue (nothing leased) folds
-// pending jobs whose entries were pushed with no completion at all,
-// while a queue with a live lease is left to its completions.
+// outside the claim protocol. A completion naming no lease needs the
+// stored entry and counts as stale, like any completion accepted on
+// that proof. A figures request on an idle queue (nothing leased)
+// folds pending jobs whose entries were pushed with no completion at
+// all, while a queue with a live lease is left to its completions.
 func TestServerLeaseLessCompletionAndIdleRecovery(t *testing.T) {
 	newServer := func(jobs []QueueJob) (*Client, *fakeFolder) {
 		folder := &fakeFolder{known: map[string]bool{}, folded: map[string]int{}}
@@ -331,20 +331,20 @@ func TestServerLeaseLessCompletionAndIdleRecovery(t *testing.T) {
 
 	jobs := testJobs(3)
 	c, _ := newServer(jobs)
-	if err := c.Complete(0, "", "shard-0"); err == nil {
+	if err := c.Complete(0, "", "w0"); err == nil {
 		t.Fatal("lease-less completion accepted with no stored entry")
 	}
 	if err := c.Put(jobs[0].Key, map[string]int{"v": 0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Complete(0, "", "shard-0"); err != nil {
+	if err := c.Complete(0, "", "w0"); err != nil {
 		t.Fatalf("lease-less completion of a stored job: %v", err)
 	}
 	if evs, err := c.Events(0, 0); err != nil || len(evs) != 1 || evs[0].Key != jobs[0].Key {
 		t.Fatalf("events after a lease-less completion: %+v, %v", evs, err)
 	}
-	// Jobs 1 and 2 are pushed by a shard worker that dies before
-	// completing them.
+	// Jobs 1 and 2 are pushed by a worker that dies before completing
+	// them.
 	for _, j := range jobs[1:] {
 		if err := c.Put(j.Key, map[string]int{"v": 1}); err != nil {
 			t.Fatal(err)
@@ -357,8 +357,8 @@ func TestServerLeaseLessCompletionAndIdleRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Done != 3 || st.Recovered != 2 || st.StaleCompletions != 0 || st.Complete["shard-0"] != 1 {
-		t.Errorf("status: done=%d recovered=%d stale=%d completed=%v, want 3/2/0/shard-0:1",
+	if st.Done != 3 || st.Recovered != 2 || st.StaleCompletions != 1 || st.Complete["w0"] != 1 {
+		t.Errorf("status: done=%d recovered=%d stale=%d completed=%v, want 3/2/1/w0:1",
 			st.Done, st.Recovered, st.StaleCompletions, st.Complete)
 	}
 

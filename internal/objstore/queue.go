@@ -46,9 +46,9 @@ var ErrLeaseLost = errors.New("objstore: lease is no longer held")
 
 // Queue is the work-stealing core of the store daemon: workers claim
 // the next pending job, run it, push the result, and complete the
-// claim. Unlike plan-time sharding (LPT over estimated costs), the
-// queue absorbs stragglers and heterogeneous machines by construction
-// — a fast worker simply claims more jobs — and a worker killed
+// claim. Unlike a fixed assignment of jobs to workers, the queue
+// absorbs stragglers and heterogeneous machines by construction — a
+// fast worker simply claims more jobs — and a worker killed
 // mid-job only delays its jobs by one lease, because an expired lease
 // returns the job to the pending pool. Live workers renew their leases
 // with Heartbeat, so the lease can sit far below the longest job's
@@ -305,9 +305,8 @@ func (q *Queue) Heartbeat(job int, lease, worker string) error {
 // each one is a lease that outlived its bookkeeping, which is
 // operationally interesting (lease too short for the fleet, or a
 // daemon restart mid-sweep) even though the result is sound.
-// Completing an already-done job is a no-op. An empty lease is a
-// lease-less completion (run-shard -server pushes without claiming),
-// accepted on the same proof and not counted stale.
+// Completing an already-done job is a no-op. An empty lease matches no
+// lease, so it too completes only on that proof and counts as stale.
 func (q *Queue) Complete(job int, lease, worker string, stored func(key string) bool) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -324,9 +323,7 @@ func (q *Queue) Complete(job int, lease, worker string, stored func(key string) 
 	}
 	if stored != nil && stored(q.jobs[job].Key) {
 		q.markDoneLocked(job)
-		if lease != "" {
-			q.stale++
-		}
+		q.stale++
 		q.worker(worker).completed++
 		return nil
 	}
@@ -359,8 +356,8 @@ type QueueStats struct {
 	// store) or by a figures request on an idle queue.
 	Recovered int `json:"recovered"`
 	// StaleCompletions counts completions accepted on the
-	// stored-result proof rather than a live lease. Lease-less
-	// completions (run-shard -server) are not counted.
+	// stored-result proof rather than a live lease, including any that
+	// name no lease at all.
 	StaleCompletions int `json:"stale_completions"`
 	// StoreReconciled counts leased jobs the sweep marked done because
 	// their result entry already existed in the store — completions

@@ -1,13 +1,12 @@
 // Package objstore is the networked sweep transport: an HTTP
 // content-addressed object store (server and client) keyed by
 // internal/simcache's SHA-256 scheme, plus work-stealing job queues
-// over evaluation manifests. It replaces the filesystem as the
-// interchange surface of a distributed sweep — workers push each
-// result entry the moment it is simulated and the daemon folds them
-// into figure snapshots the merge stage reads, so a multi-machine run
-// of the paper's evaluation (§VI) needs no copied cache directories —
-// and replaces plan-time sharding with claim-as-you-go scheduling that
-// absorbs stragglers and heterogeneous machines.
+// over evaluation manifests. It is the interchange surface of a
+// distributed sweep — workers push each result entry the moment it is
+// simulated and the daemon folds them into figure snapshots the merge
+// stage reads, so a multi-machine run of the paper's evaluation (§VI)
+// needs no copied cache directories — and its claim-as-you-go
+// scheduling absorbs stragglers and heterogeneous machines.
 //
 // The server (cmd/rowswap-cached) is a long-lived, multi-tenant
 // evaluation service: any number of manifests can be registered
@@ -21,9 +20,10 @@
 //
 // Storage is an ordinary simcache directory, so everything downstream
 // — checksummed envelopes, corrupt-entry rejection, the segment index —
-// behaves exactly as it does locally, and a store directory can be
-// merged or planned against like any worker cache. The client implements simcache.Store, so
-// sweep execution code is agnostic to the transport.
+// behaves exactly as it does locally, and sweep.Manifest.Merge can
+// re-fold a store directory in-process as an oracle for the daemon's
+// fold. The client implements simcache.Store, so sweep execution code
+// runs the same jobs against a remote store or a local one.
 package objstore
 
 import (
@@ -712,8 +712,8 @@ func (s *Server) handleFigures(w http.ResponseWriter, r *http.Request) {
 	}
 	// Reconcile so the snapshot reflects stored reality: Stats marks
 	// stored leased jobs done, and an idle queue (nothing leased) also
-	// recovers stored pending jobs, pushed without a completion by a
-	// run-shard -server worker that died before completing them.
+	// recovers stored pending jobs, pushed by a worker that died before
+	// completing them and requeued when its lease expired.
 	if st := tn.queue.Stats(); st.Leased == 0 && st.Pending > 0 {
 		tn.queue.RecoverStored(s.cache.Has)
 	}

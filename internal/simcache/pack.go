@@ -12,9 +12,8 @@ import (
 	"time"
 )
 
-// This file implements the cache's storage form, append-only segment
-// files, and its sharded-sweep interchange surface: ImportDir unions
-// another cache directory (a worker's shard output) into this one.
+// This file implements the cache's storage form: append-only segment
+// files indexed in memory.
 //
 // Segment format: one envelope per line, exactly the bytes Put
 // encodes and the network transport ships, so the integrity gates of
@@ -146,8 +145,7 @@ func (c *Cache) appendEntry(key string, data []byte) error {
 	return nil
 }
 
-// Keys returns every key the cache can currently serve, sorted. Sweep
-// merging uses it to audit that a merged directory covers a manifest.
+// Keys returns every key the cache can currently serve, sorted.
 func (c *Cache) Keys() []string {
 	if c == nil {
 		return nil
@@ -160,43 +158,4 @@ func (c *Cache) Keys() []string {
 	c.mu.RUnlock()
 	sort.Strings(keys)
 	return keys
-}
-
-// ImportDir unions the entries of another cache directory (typically a
-// sweep worker's shard output) into this cache, returning how many
-// entries were imported. Every line of every segment is validated
-// before import; invalid ones are skipped, not copied, so a torn shard
-// can never poison the merged cache. Entries keep their envelope bytes
-// verbatim, which keeps their checksums and therefore their
-// bit-identity across the process boundary.
-func (c *Cache) ImportDir(src string) (int, error) {
-	if c == nil {
-		return 0, nil
-	}
-	if _, err := os.Stat(src); err != nil {
-		return 0, err
-	}
-	imported := 0
-	for _, path := range segments(src) {
-		f, err := os.Open(path)
-		if err != nil {
-			return imported, err
-		}
-		err = eachLine(f, func(line []byte, _ int64) error {
-			e, ok := parseEnvelope(line)
-			if !ok {
-				return nil
-			}
-			if err := c.appendEntry(e.Key, line); err != nil {
-				return err
-			}
-			imported++
-			return nil
-		})
-		f.Close()
-		if err != nil {
-			return imported, err
-		}
-	}
-	return imported, nil
 }

@@ -243,99 +243,6 @@ func TestConcurrentPutGetHas(t *testing.T) {
 	}
 }
 
-func TestImportDirUnionsSegments(t *testing.T) {
-	srcA, srcB := t.TempDir(), t.TempDir()
-	keysA := fill(t, reopen(t, srcA), "import-a", 3)
-	keysB := fill(t, reopen(t, srcB), "import-b", 2)
-	keysB = append(keysB, fill(t, reopen(t, srcB), "import-b2", 2)...) // a second segment
-
-	mergedDir := t.TempDir()
-	merged := reopen(t, mergedDir)
-	na, err := merged.ImportDir(srcA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nb, err := merged.ImportDir(srcB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if na != 3 || nb != 4 {
-		t.Fatalf("imported (%d, %d) entries, want (3, 4)", na, nb)
-	}
-	all := append(append([]string(nil), keysA...), keysB...)
-	for _, cache := range []*Cache{merged, reopen(t, mergedDir)} {
-		for i, key := range all {
-			if !cache.Has(key) {
-				t.Errorf("merged cache misses entry %d", i)
-			}
-		}
-		if got, want := cache.Keys(), 7; len(got) != want {
-			t.Errorf("merged Keys() = %d, want %d", len(got), want)
-		}
-	}
-	onlySegment(t, mergedDir)
-	if _, err := merged.ImportDir(filepath.Join(srcA, "missing")); err == nil {
-		t.Error("importing a missing directory succeeded")
-	}
-}
-
-func TestImportDirSkipsInvalidEntries(t *testing.T) {
-	src := t.TempDir()
-	good, bad := Key("good"), Key("bad")
-	s := reopen(t, src)
-	if err := s.Put(good, 42); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(bad, 43); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the payload itself (43 -> 63) so only the checksum can
-	// reject the entry, then leave a torn write after it.
-	path := onlySegment(t, src)
-	data, _ := os.ReadFile(path)
-	data[bytes.LastIndexByte(data, '4')] = '6'
-	data = append(data, `{"schema":2,"key":`...)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	merged := reopen(t, t.TempDir())
-	n, err := merged.ImportDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Errorf("imported %d entries, want only the valid one", n)
-	}
-	var v int
-	if hit, _ := merged.Get(good, &v); !hit || v != 42 {
-		t.Errorf("valid entry lost in import: hit=%v v=%d", hit, v)
-	}
-	if merged.Has(bad) {
-		t.Error("corrupted entry imported")
-	}
-}
-
-func TestImportedEntryBytesAreVerbatim(t *testing.T) {
-	src := t.TempDir()
-	s := reopen(t, src)
-	key := Key("verbatim")
-	if err := s.Put(key, map[string]float64{"ipc": 1.2345678901234567}); err != nil {
-		t.Fatal(err)
-	}
-	want, _ := s.GetRaw(key)
-	dst := t.TempDir()
-	if _, err := reopen(t, dst).ImportDir(src); err != nil {
-		t.Fatal(err)
-	}
-	src0, _ := os.ReadFile(onlySegment(t, src))
-	dst0, _ := os.ReadFile(onlySegment(t, dst))
-	got, ok := reopen(t, dst).GetRaw(key)
-	if !ok || !bytes.Equal(want, got) || !bytes.Equal(src0, dst0) {
-		t.Errorf("import changed entry bytes:\nsrc: %s\ndst: %s", src0, dst0)
-	}
-}
-
 // TestPutRawRejectsInvalidEntries: PutRaw stores only bytes that
 // validate as one line, and says so with ErrInvalidEntry, so an upload
 // path can tell a bad request from a failing store.
@@ -376,9 +283,6 @@ func TestPutRawRejectsInvalidEntries(t *testing.T) {
 
 func TestNilCachePackAndImportAreNoOps(t *testing.T) {
 	var c *Cache
-	if n, err := c.ImportDir(t.TempDir()); n != 0 || err != nil {
-		t.Errorf("nil ImportDir = (%d, %v)", n, err)
-	}
 	if err := c.PutRaw(Key("x"), []byte("not an envelope")); err != nil {
 		t.Errorf("nil PutRaw = %v", err)
 	}

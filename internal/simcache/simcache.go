@@ -182,10 +182,10 @@ func payloadSum(p []byte) string {
 	return hex.EncodeToString(s[:])
 }
 
-// parseEnvelope is the single decoding path for segment lines,
-// uploads and imported segments, so every read — whatever its source —
-// enforces the same gates: one line, the current schema, and a payload
-// matching its checksum. Malformed input of any shape (truncated,
+// parseEnvelope is the single decoding path for segment lines and
+// uploads, so every read — whatever its source — enforces the same
+// gates: one line, the current schema, and a payload matching its
+// checksum. Malformed input of any shape (truncated,
 // non-JSON, flipped bits, stale schema, embedded newlines) is reported
 // as !ok, never a panic (FuzzReadEntry pins this down).
 func parseEnvelope(data []byte) (envelope, bool) {

@@ -22,8 +22,8 @@ import (
 // change a bit). A Snapshot at full coverage is therefore bit-identical
 // to Merge's Results, and a snapshot before that renders every figure
 // row whose cells have all landed, with coverage saying what is still
-// pending. The batch merge itself is a thin client: fold every job,
-// audit, snapshot once.
+// pending. Merge itself is a thin client: fold every job from a store
+// directory, audit, snapshot once.
 
 // Accumulator folds completed sweep entries incrementally into
 // renderable figure state. All methods are safe for concurrent use;
@@ -72,12 +72,6 @@ func (m *Manifest) NewAccumulator() (*Accumulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.newAccumulator(p), nil
-}
-
-// newAccumulator wires an accumulator onto an already-derived plan —
-// the merge path's entry, where expand() has fully verified keys.
-func (m *Manifest) newAccumulator(p plan) *Accumulator {
 	a := &Accumulator{
 		m:        m,
 		eval:     p.eval,
@@ -98,7 +92,7 @@ func (m *Manifest) newAccumulator(p plan) *Accumulator {
 		a.cellDone = make([]int, len(m.Security.Cells))
 		a.cellWant = (m.Security.Trials + m.Security.Batch - 1) / m.Security.Batch
 	}
-	return a
+	return a, nil
 }
 
 // FoldJob folds manifest job ji's stored result into the accumulator.
@@ -176,8 +170,7 @@ func (a *Accumulator) Missing() []string {
 	var missing []string
 	for ji, ok := range a.have {
 		if !ok {
-			j := a.m.Jobs[ji]
-			missing = append(missing, fmt.Sprintf("%s (shard %d)", j.desc(), j.Shard))
+			missing = append(missing, a.m.Jobs[ji].desc())
 		}
 	}
 	return missing
@@ -219,7 +212,7 @@ func (c Coverage) Complete() bool { return c.Done == c.Jobs }
 // plus its coverage. Performance figures contribute every workload row
 // whose cells (baseline and all configs) have landed; security figures
 // contribute only at full coverage. At full coverage the Results are
-// bit-identical to the batch Merge's — same fold arithmetic, same
+// bit-identical to Merge's — same fold arithmetic, same
 // order-independent tally folding.
 func (a *Accumulator) Snapshot() (*Results, Coverage, error) {
 	a.mu.Lock()

@@ -13,25 +13,19 @@ import (
 // TestAccumulatorFoldOrderMatchesMerge is the tentpole's differential
 // oracle: folding a mixed perf+security evaluation's entries one at a
 // time, in random arrival orders with duplicate re-folds sprinkled in,
-// must yield Results bit-identical to the single-shot batch Merge of
-// the same store. Along the way (first trial) it checks the partial
+// must yield Results bit-identical to the single-shot Merge of the same
+// store. Along the way (first trial) it checks the partial
 // snapshots: job coverage counts every fold exactly once, per-figure
 // cell coverage never decreases, and a rendered figure never becomes
 // unrendered.
 func TestAccumulatorFoldOrderMatchesMerge(t *testing.T) {
-	m, err := PlanEvaluation([]string{"14", "6", "t4"}, quickOpts(), secPlanOpts(2))
+	m, err := PlanEvaluation([]string{"14", "6", "t4"}, quickOpts(), secPlanOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirA, dirB := t.TempDir(), t.TempDir()
-	if _, err := m.RunShard(0, dirA, 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.RunShard(1, dirB, 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	mergedDir := t.TempDir()
-	batch, err := m.Merge(mergedDir, []string{dirA, dirB}, nil)
+	dir := t.TempDir()
+	store := fillStore(t, m, dir, nil)
+	batch, err := m.Merge(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +39,6 @@ func TestAccumulatorFoldOrderMatchesMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store, err := simcache.Open(mergedDir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for trial := 0; trial < 4; trial++ {
 		rng := rand.New(rand.NewSource(int64(0xACC0 + trial)))
 		acc, err := m.NewAccumulator()
@@ -134,18 +124,11 @@ func TestAccumulatorFoldOrderMatchesMerge(t *testing.T) {
 // full cell coverage, and a closed-form security figure (no cells) is
 // covered from the start.
 func TestAccumulatorPartialSnapshots(t *testing.T) {
-	m, err := PlanEvaluation([]string{"14", "6", "t4"}, quickOpts(), secPlanOpts(1))
+	m, err := PlanEvaluation([]string{"14", "6", "t4"}, quickOpts(), secPlanOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if _, err := m.RunShard(0, dir, 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	store, err := simcache.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := fillStore(t, m, t.TempDir(), nil)
 	acc, err := m.NewAccumulator()
 	if err != nil {
 		t.Fatal(err)
@@ -232,15 +215,8 @@ func TestAccumulatorPartialSnapshots(t *testing.T) {
 // out-of-range job index errors, and Missing audits exactly the
 // unfolded jobs in merge format.
 func TestAccumulatorFoldKeyTolerance(t *testing.T) {
-	m := mustPlanSecurity(t, []string{"6"}, 1)
-	dir := t.TempDir()
-	if _, err := m.RunShard(0, dir, 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	store, err := simcache.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := mustPlanSecurity(t, []string{"6"})
+	store := fillStore(t, m, t.TempDir(), nil)
 	acc, err := m.NewAccumulator()
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +241,7 @@ func TestAccumulatorFoldKeyTolerance(t *testing.T) {
 	if len(missing) != len(m.Jobs)-1 {
 		t.Fatalf("%d missing after one fold, want %d", len(missing), len(m.Jobs)-1)
 	}
-	if want := m.Jobs[0].desc() + " (shard 0)"; missing[0] != want {
+	if want := m.Jobs[0].desc(); missing[0] != want {
 		t.Errorf("missing[0] = %q, want %q", missing[0], want)
 	}
 }

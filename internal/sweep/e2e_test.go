@@ -14,144 +14,26 @@ import (
 	"repro/internal/sim"
 )
 
-// buildSweepCLI builds the real rowswap-sweep binary into dir and
-// returns a runner for it. The CLI is a different build than this test
-// binary, so their cache keys intentionally differ — bit-identity in
-// the tests below must come from determinism of the simulations and of
-// the row assembly, not from accidentally sharing cache entries.
-func buildSweepCLI(t *testing.T, dir string) func(args ...string) string {
-	t.Helper()
-	goBin, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("go toolchain not available to build the CLI")
-	}
-	repoRoot, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bin := filepath.Join(dir, "rowswap-sweep")
-	build := exec.Command(goBin, "build", "-o", bin, "./cmd/rowswap-sweep")
-	build.Dir = repoRoot
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building rowswap-sweep: %v\n%s", err, out)
-	}
-	return func(args ...string) string {
-		t.Helper()
-		cmd := exec.Command(bin, args...)
-		cmd.Dir = dir
-		out, err := cmd.CombinedOutput()
-		if err != nil {
-			t.Fatalf("rowswap-sweep %v: %v\n%s", args, err, out)
-		}
-		return string(out)
-	}
-}
-
-// runWorkers starts one run-shard process per shard, concurrently like
-// they would run on separate machines, and waits for all of them.
-func runWorkers(t *testing.T, dir, bin, manifest string, shardDirs []string) {
-	t.Helper()
-	workers := make([]*exec.Cmd, len(shardDirs))
-	for i, cdir := range shardDirs {
-		workers[i] = exec.Command(bin, "run-shard",
-			"-manifest", manifest, "-shard", string(rune('0'+i)), "-cache-dir", cdir)
-		workers[i].Dir = dir
-		if err := workers[i].Start(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, w := range workers {
-		if err := w.Wait(); err != nil {
-			t.Fatalf("worker %d failed: %v", i, err)
-		}
-	}
-}
-
-// TestSweepEndToEndTwoWorkerProcesses is the acceptance test of the
-// sharded sweep: `rowswap-sweep plan`, two *separate worker processes*
-// running `run-shard`, and `merge` must reproduce the quick-matrix
-// PerfRows bit-identically to a single-process report run. It builds
-// the real CLI and execs it, so the content-addressed interchange is
-// exercised across genuine process boundaries (the only thing shared
-// between the workers is the manifest file and the filesystem).
-func TestSweepEndToEndTwoWorkerProcesses(t *testing.T) {
-	dir := t.TempDir()
-	run := buildSweepCLI(t, dir)
-	bin := filepath.Join(dir, "rowswap-sweep")
-
-	// Coordinator: plan the quick matrix over 2 shards.
-	manifest := filepath.Join(dir, "manifest.json")
-	run("plan", "-fig", "14",
-		"-workloads", "gcc,mcf,gups", "-cores", "2",
-		"-instructions", "200000", "-window", "200000",
-		"-shards", "2", "-strategy", "cost", "-out", manifest)
-
-	w0 := filepath.Join(dir, "w0")
-	w1 := filepath.Join(dir, "w1")
-	runWorkers(t, dir, bin, manifest, []string{w0, w1})
-
-	// Coordinator again: merge the two worker directories.
-	results := filepath.Join(dir, "results.json")
-	mergeOut := run("merge", "-manifest", manifest, "-dirs", w0+","+w1,
-		"-merged-dir", filepath.Join(dir, "merged"), "-out", results)
-	if len(mergeOut) == 0 {
-		t.Error("merge rendered no figure output")
-	}
-	// The merged entries must sit in one segment, not a file each.
-	if files, _ := os.ReadDir(filepath.Join(dir, "merged")); len(files) != 1 || filepath.Ext(files[0].Name()) != ".pack" {
-		t.Errorf("merged cache holds %d files, want one segment", len(files))
-	}
-
-	data, err := os.ReadFile(results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Results
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	gotRows, ok := got.FigureRows("14")
-	if !ok {
-		t.Fatal("merged results carry no figure 14")
-	}
-
-	// Reference: the same matrix in a single process.
-	report.ResetRunMemo()
-	want, err := report.Fig14(io.Discard, report.PerfOptions{
-		Workloads: []string{"gcc", "mcf", "gups"},
-		Cores:     2,
-		Sim:       sim.Options{Instructions: 200_000, WindowNS: 200_000},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireNonTrivial(t, want)
-	if !reflect.DeepEqual(want, gotRows) {
-		t.Errorf("sharded two-process rows differ from single-process rows:\nwant: %+v\ngot:  %+v", want, gotRows)
-	}
-}
-
 // TestEvaluationSweepEndToEndTwoWorkerProcesses is the acceptance test
 // of evaluation-wide planning: `rowswap-sweep plan -all` must produce
 // ONE manifest covering every performance figure — with a deduplicated
 // simulation-job count strictly below the sum of the per-figure plans
-// — plus every security figure's Monte-Carlo trial batches, and after
-// two real worker processes and one merge, every performance figure's
-// rows must be bit-identical to that figure's own single-process run
-// and both Monte-Carlo figures' row sets must be complete. It also
-// emits BENCH_sweep.json (jobs planned vs deduplicated, merge wall
-// time) so the dedupe win is tracked across PRs.
+// — plus every security figure's Monte-Carlo trial batches. After a
+// real rowswap-cached daemon, two real `work -server` worker processes
+// and one `merge -server` (equal to a re-fold of the daemon's store),
+// every performance figure's rows must be bit-identical to that
+// figure's own single-process run and both Monte-Carlo figures' row
+// sets must be complete. The CLI is a different build than this test
+// binary, so their cache keys intentionally differ: bit-identity must
+// come from determinism of the simulations and of the row assembly,
+// not from shared cache entries. It also emits BENCH_sweep.json (jobs
+// planned vs deduplicated, merge wall time) so the dedupe win is
+// tracked across PRs.
 func TestEvaluationSweepEndToEndTwoWorkerProcesses(t *testing.T) {
 	dir := t.TempDir()
-	run := buildSweepCLI(t, dir)
-	bin := filepath.Join(dir, "rowswap-sweep")
+	sweepBin := buildCLI(t, dir, "rowswap-sweep")
+	cachedBin := buildCLI(t, dir, "rowswap-cached")
 
-	const (
-		workloads    = "gcc,gups"
-		cores        = "2"
-		instructions = "150000"
-		window       = "200000"
-	)
 	opt := report.PerfOptions{
 		Workloads: []string{"gcc", "gups"},
 		Cores:     2,
@@ -160,10 +42,9 @@ func TestEvaluationSweepEndToEndTwoWorkerProcesses(t *testing.T) {
 
 	// Coordinator: one plan for the whole evaluation.
 	manifest := filepath.Join(dir, "manifest.json")
-	planOut := run("plan", "-all",
-		"-workloads", workloads, "-cores", cores,
-		"-instructions", instructions, "-window", window,
-		"-shards", "2", "-out", manifest)
+	planOut := runSweepStdout(t, sweepBin, dir, "plan", "-all",
+		"-workloads", "gcc,gups", "-cores", "2",
+		"-instructions", "150000", "-window", "200000", "-out", manifest)
 	t.Logf("plan: %s", planOut)
 	m, err := LoadManifest(manifest)
 	if err != nil {
@@ -177,11 +58,11 @@ func TestEvaluationSweepEndToEndTwoWorkerProcesses(t *testing.T) {
 	// figures planned one by one (shared baselines and recurring
 	// comparator configs deduplicated). The per-figure counts come from
 	// in-process plans — job counts are build-independent even though
-	// keys differ. Monte-Carlo batch jobs (schema 3) are counted apart:
-	// `plan -all` also spans the security figures.
+	// keys differ. Monte-Carlo batch jobs are counted apart: `plan -all`
+	// also spans the security figures.
 	perFigure := 0
 	for _, id := range report.PerfFigureIDs() {
-		fm, err := Plan(id, opt, 2, StrategyRoundRobin)
+		fm, err := Plan(id, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,24 +83,29 @@ func TestEvaluationSweepEndToEndTwoWorkerProcesses(t *testing.T) {
 		t.Fatalf("plan -all carries no Monte-Carlo security jobs (security=%v, mc jobs=%d); one manifest must span the whole paper", m.Security, mcJobs)
 	}
 
-	w0 := filepath.Join(dir, "w0")
-	w1 := filepath.Join(dir, "w1")
-	runWorkers(t, dir, bin, manifest, []string{w0, w1})
+	store := filepath.Join(dir, "store")
+	url := startCached(t, cachedBin, "-manifest", manifest, "-store-dir", store, "-addr", "127.0.0.1:0")
+	var workers []*exec.Cmd
+	for _, name := range []string{"w0", "w1"} {
+		w := exec.Command(sweepBin, "work", "-server", url, "-name", name, "-manifest", manifest)
+		w.Dir = dir
+		if err := w.Start(); err != nil {
+			t.Fatal(err)
+		}
+		workers = append(workers, w)
+	}
+	for i, w := range workers {
+		if err := w.Wait(); err != nil {
+			t.Fatalf("worker %d failed: %v", i, err)
+		}
+	}
 
 	results := filepath.Join(dir, "results.json")
 	mergeStart := time.Now()
-	run("merge", "-manifest", manifest, "-dirs", w0+","+w1,
-		"-merged-dir", filepath.Join(dir, "merged"), "-out", results)
+	render := runSweepStdout(t, sweepBin, dir, "merge", "-server", url, "-manifest", manifest, "-out", results)
 	mergeSecs := time.Since(mergeStart).Seconds()
-
-	data, err := os.ReadFile(results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Results
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
+	requireRefold(t, manifest, store, results, render)
+	got := loadResults(t, results)
 
 	// Every figure bit-identical to its own single-process run, fresh
 	// per figure (ResetRunMemo) exactly like a per-figure CLI
@@ -305,12 +191,12 @@ func writeSweepBench(t *testing.T, figures, perFigure, deduped, mcJobs int, merg
 // writeBenchSection read-modify-writes one named section of
 // BENCH_sweep.json at the repository root, mirroring
 // BENCH_kernel.json: each e2e owns a section ("evaluation", the dedupe
-// win; "work_stealing", the transport/scheduling row) so the file
-// tracks both trajectories whichever test ran last. The write only
-// happens in CI or under BENCH_SWEEP=1 so a plain local
-// `go test ./...` never dirties the working tree with
-// machine-dependent timings (regenerate with
-// `BENCH_SWEEP=1 go test -run 'EndToEnd' ./internal/sweep`).
+// win; "work_stealing", the scheduling row; "service", "monte_carlo",
+// "streaming") so the file tracks every trajectory whichever test ran
+// last. The write only happens in CI or under BENCH_SWEEP=1 so a plain
+// local `go test ./...` never dirties the working tree with
+// machine-dependent timings (regenerate every section with
+// `BENCH_SWEEP=1 go test -run 'EndToEnd|TestServerSweep' ./internal/sweep`).
 func writeBenchSection(t *testing.T, section string, payload map[string]any) {
 	t.Helper()
 	if os.Getenv("BENCH_SWEEP") == "" && os.Getenv("CI") == "" {

@@ -29,7 +29,7 @@ import (
 //
 // and the text render must include the Monte-Carlo column. It also
 // records the BENCH monte_carlo section: total trials, distributed
-// trial throughput, and distributed vs single-process wall time.
+// trial throughput, and distributed vs in-process oracle wall time.
 func TestServerSweepMonteCarloMixedManifest(t *testing.T) {
 	dir := t.TempDir()
 	sweepBin := buildCLI(t, dir, "rowswap-sweep")
@@ -52,16 +52,11 @@ func TestServerSweepMonteCarloMixedManifest(t *testing.T) {
 		}
 		return string(out)
 	}
-	planArgs := func(shards int, out string) []string {
-		return []string{"plan", "-fig", "14,6,t4",
-			"-workloads", strings.Join(workloads, ","), "-cores", "2",
-			"-instructions", fmt.Sprint(instructions), "-window", "200000",
-			"-trials", "1", "-mc-batch", "250",
-			"-shards", fmt.Sprint(shards), "-out", out}
-	}
-
 	manifest := filepath.Join(dir, "manifest.json")
-	planOut := run(planArgs(2, manifest)...)
+	planOut := run("plan", "-fig", "14,6,t4",
+		"-workloads", strings.Join(workloads, ","), "-cores", "2",
+		"-instructions", fmt.Sprint(instructions), "-window", "200000",
+		"-trials", "1", "-mc-batch", "250", "-out", manifest)
 	if !strings.Contains(planOut, fmt.Sprintf("%d Monte-Carlo batch jobs", mcJobs)) {
 		t.Fatalf("plan summary does not announce %d Monte-Carlo batch jobs:\n%s", mcJobs, planOut)
 	}
@@ -109,31 +104,36 @@ func TestServerSweepMonteCarloMixedManifest(t *testing.T) {
 		t.Errorf("post-kill merged Fig. 14 rows differ from single-process rows:\nwant: %+v\ngot:  %+v", wantPerf, gotPerf)
 	}
 
-	// Oracle #2 (security): the same manifest planned for ONE shard and
-	// executed by one sequential process in its own cache directory —
-	// nothing shared with the distributed run but the seeds. Shard
-	// count is pure placement; it must not reach any drawn number.
-	oracleManifest := filepath.Join(dir, "oracle-manifest.json")
-	run(planArgs(1, oracleManifest)...)
+	// Oracle #2 (security): every cell recomputed in this process, in
+	// order, from the manifest's recorded seed — nothing shared with the
+	// distributed run but the seeds. Which worker drew which batch is
+	// pure placement; it must not reach any drawn number.
+	m, err := LoadManifest(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
 	singleStart := time.Now()
-	runWorkers(t, dir, sweepBin, oracleManifest, []string{filepath.Join(dir, "oracle-w0")})
+	oracle := report.RunSecurityCells(m.Security.Cells, m.Security.Seed, m.Security.Trials, m.Security.Batch)
 	singleSecs := time.Since(singleStart).Seconds()
-	oracleResults := filepath.Join(dir, "oracle-results.json")
-	run("merge", "-manifest", oracleManifest, "-dirs", filepath.Join(dir, "oracle-w0"),
-		"-merged-dir", filepath.Join(dir, "oracle-merged"), "-out", oracleResults)
 
+	// Fig. 6 row i is security cell fig6[i] of the deduplicated set.
+	var fig6 []int
+	for _, f := range m.Security.Figures {
+		if f.Fig == "6" {
+			fig6 = f.Cells
+		}
+	}
 	gotSec := loadSecurityRows(t, results, "6")
-	wantSec := loadSecurityRows(t, oracleResults, "6")
-	if len(gotSec) != 15 {
-		t.Fatalf("merged results carry %d Fig. 6 rows, want 15", len(gotSec))
+	if len(gotSec) != 15 || len(fig6) != 15 {
+		t.Fatalf("merged results carry %d Fig. 6 rows and the manifest %d cells, want 15", len(gotSec), len(fig6))
 	}
 	trialsTotal := 0
 	sawTail, sawDirect := false, false
 	for i := range gotSec {
-		if gotSec[i].Label != wantSec[i].Label || mcRowBits(gotSec[i]) != mcRowBits(wantSec[i]) ||
-			gotSec[i].Result.Tail != wantSec[i].Result.Tail {
+		want := oracle[fig6[i]]
+		if mcRowBits(gotSec[i]) != mcRowBits(MonteCarloRow{Result: want}) || gotSec[i].Result.Tail != want.Tail {
 			t.Errorf("Fig. 6 row %d (%s): distributed differs from single-process oracle:\nwant: %+v\ngot:  %+v",
-				i, wantSec[i].Label, wantSec[i], gotSec[i])
+				i, gotSec[i].Label, want, gotSec[i].Result)
 		}
 		trialsTotal += gotSec[i].Result.Iterations
 		if gotSec[i].Result.Tail {
@@ -144,18 +144,6 @@ func TestServerSweepMonteCarloMixedManifest(t *testing.T) {
 	}
 	if !sawTail || !sawDirect {
 		t.Errorf("Fig. 6 rows cover tail=%v direct=%v; both regimes must appear", sawTail, sawDirect)
-	}
-
-	// Oracle #3 (anchor): one cheap cell recomputed in-process from the
-	// manifest's recorded seed ties the process-level rows to the
-	// in-process oracle the unit suite pins.
-	m, err := LoadManifest(manifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	anchor := report.RunSecurityCells(m.Security.Cells[:1], m.Security.Seed, m.Security.Trials, m.Security.Batch)
-	if mcRowBits(gotSec[0]) != mcRowBits(MonteCarloRow{Result: anchor[0]}) {
-		t.Errorf("Fig. 6 row 0 differs from the in-process anchor:\nwant: %+v\ngot:  %+v", anchor[0], gotSec[0].Result)
 	}
 
 	writeBenchSection(t, "monte_carlo", map[string]any{

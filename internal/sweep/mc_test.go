@@ -11,26 +11,19 @@ import (
 	"testing"
 
 	"repro/internal/report"
-	"repro/internal/simcache"
 )
 
 // secPlanOpts keeps security plans small: 9 trials per cell cut into
 // batches of 4 — two full batches plus a short tail batch, so batch
 // coverage validation and the oracle comparison both exercise the
 // uneven-tail path.
-func secPlanOpts(shards int) PlanOptions {
-	return PlanOptions{
-		Shards:   shards,
-		Strategy: StrategyRoundRobin,
-		MCTrials: 9,
-		MCBatch:  4,
-		MCSeed:   0x51,
-	}
+func secPlanOpts() PlanOptions {
+	return PlanOptions{MCTrials: 9, MCBatch: 4, MCSeed: 0x51}
 }
 
-func mustPlanSecurity(t *testing.T, figs []string, shards int) *Manifest {
+func mustPlanSecurity(t *testing.T, figs []string) *Manifest {
 	t.Helper()
-	m, err := PlanEvaluation(figs, report.PerfOptions{}, secPlanOpts(shards))
+	m, err := PlanEvaluation(figs, report.PerfOptions{}, secPlanOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,8 +31,8 @@ func mustPlanSecurity(t *testing.T, figs []string, shards int) *Manifest {
 }
 
 func TestPlanSecurityOnlyManifest(t *testing.T) {
-	m := mustPlanSecurity(t, []string{"6", "t4"}, 2)
-	if !reflect.DeepEqual(m, mustPlanSecurity(t, []string{"6", "t4"}, 2)) {
+	m := mustPlanSecurity(t, []string{"6", "t4"})
+	if !reflect.DeepEqual(m, mustPlanSecurity(t, []string{"6", "t4"})) {
 		t.Error("two security plans of the same sweep differ")
 	}
 	if m.Security == nil {
@@ -74,7 +67,7 @@ func TestPlanSecurityOnlyManifest(t *testing.T) {
 }
 
 func TestPlanMixedManifest(t *testing.T) {
-	m, err := PlanEvaluation([]string{"14", "6"}, quickOpts(), secPlanOpts(2))
+	m, err := PlanEvaluation([]string{"14", "6"}, quickOpts(), secPlanOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,53 +94,6 @@ func TestPlanMixedManifest(t *testing.T) {
 	qj := m.QueueJobs()
 	if len(qj) != len(m.Jobs) || qj[len(qj)-1].Workload != MCWorkload {
 		t.Fatalf("queue jobs do not cover the Monte-Carlo block: %d entries", len(qj))
-	}
-}
-
-// A schema-2 manifest — planned before generic job kinds existed —
-// must still plan, shard, and merge. This pins backward compatibility
-// for manifests written by older builds of the perf-only sweep.
-func TestSchema2PerfManifestStillWorks(t *testing.T) {
-	m := mustPlan(t, 2, StrategyRoundRobin)
-	m.Schema = 2
-	if err := m.Validate(); err != nil {
-		t.Fatalf("schema-2 perf manifest rejected: %v", err)
-	}
-	dirA, dirB := t.TempDir(), t.TempDir()
-	if _, err := m.RunShard(0, dirA, 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.RunShard(1, dirB, 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Merge(t.TempDir(), []string{dirA, dirB}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, ok := res.FigureRows("14")
-	if !ok {
-		t.Fatal("figure 14 missing from merged results")
-	}
-	requireNonTrivial(t, rows)
-	// Schema-2 results files render too.
-	res.Schema = 2
-	var buf strings.Builder
-	if err := res.Render(&buf); err != nil || buf.Len() == 0 {
-		t.Fatalf("schema-2 results render: %v", err)
-	}
-}
-
-func TestValidateRejectsSchema2WithSecurity(t *testing.T) {
-	m := mustPlanSecurity(t, []string{"6"}, 1)
-	m.Schema = 2
-	if err := m.ValidateStructure(); err == nil || !strings.Contains(err.Error(), "perf-only") {
-		t.Errorf("schema-2 + security section not rejected usefully: %v", err)
-	}
-	m2 := mustPlan(t, 1, StrategyRoundRobin)
-	m2.Schema = 2
-	m2.Jobs[0].Kind = JobKindSim
-	if err := m2.ValidateStructure(); err == nil || !strings.Contains(err.Error(), "perf-only") {
-		t.Errorf("schema-2 + explicit job kind not rejected usefully: %v", err)
 	}
 }
 
@@ -195,7 +141,7 @@ func TestValidateRejectsBadSchema3Manifests(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			m := mustPlanSecurity(t, []string{"6"}, 1)
+			m := mustPlanSecurity(t, []string{"6"})
 			c.mutate(m)
 			err := m.ValidateStructure()
 			if err == nil {
@@ -215,24 +161,14 @@ func mcRowBits(r MonteCarloRow) [4]uint64 {
 		math.Float64bits(r.Result.StdErrTimeNS)}
 }
 
-// The tentpole guarantee at unit scale: Fig. 6's trial batches sharded
-// across two worker cache directories and merged are bit-identical to
-// the single-process oracle running the same seeded stream — every
-// float of every row.
+// The guarantee at unit scale: Fig. 6's trial batches claimed by two
+// work-stealing workers, in whatever order they complete, and merged
+// are bit-identical to the single-process oracle running the same
+// seeded stream — every float of every row.
 func TestDistributedSecurityMatchesOracle(t *testing.T) {
-	m := mustPlanSecurity(t, []string{"6"}, 2)
-	dirA, dirB := t.TempDir(), t.TempDir()
-	if _, err := m.RunShard(0, dirA, 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.RunShard(1, dirB, 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Import order B-then-A: merge must not care.
-	res, err := m.Merge(t.TempDir(), []string{dirB, dirA}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := mustPlanSecurity(t, []string{"6"})
+	store, c, _ := runTwoWorkers(t, m)
+	res := mergeBothWays(t, m, store, c)
 	rows, ok := res.SecurityRows("6")
 	if !ok || len(rows) != 15 {
 		t.Fatalf("figure 6 rows missing or short: %d", len(rows))
@@ -284,21 +220,15 @@ func TestDistributedSecurityMatchesOracle(t *testing.T) {
 // A stored tally that decodes but violates its invariants must fail
 // the merge loudly — never silently fold garbage into a figure.
 func TestMergeRejectsCorruptTally(t *testing.T) {
-	m := mustPlanSecurity(t, []string{"6"}, 1)
+	m := mustPlanSecurity(t, []string{"6"})
 	dir := t.TempDir()
-	if _, err := m.RunShard(0, dir, 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	cache, err := simcache.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := fillStore(t, m, dir, nil)
 	// Valid envelope, invalid payload: a tally that declares a trial it
 	// cannot account for.
 	if err := cache.Put(m.Jobs[0].Key, json.RawMessage(`{"trials":1}`)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Merge(t.TempDir(), []string{dir}, nil); err == nil ||
+	if _, err := m.Merge(dir, nil); err == nil ||
 		!strings.Contains(err.Error(), "invalid") {
 		t.Errorf("merge accepted a corrupt tally: %v", err)
 	}
@@ -307,14 +237,12 @@ func TestMergeRejectsCorruptTally(t *testing.T) {
 // Deleting a batch entry must surface as an audited "missing" failure
 // naming the job, exactly like a missing simulation result.
 func TestMergeAuditsMissingTally(t *testing.T) {
-	m := mustPlanSecurity(t, []string{"6"}, 1)
+	m := mustPlanSecurity(t, []string{"6"})
 	dir := t.TempDir()
-	if _, err := m.RunShard(0, dir, 0, nil); err != nil {
-		t.Fatal(err)
-	}
+	fillStore(t, m, dir, nil)
 	victim := m.Jobs[7]
 	dropEntry(t, dir, victim.Key)
-	_, err := m.Merge(t.TempDir(), []string{dir}, nil)
+	_, err := m.Merge(dir, nil)
 	if err == nil || !strings.Contains(err.Error(), "missing") || !strings.Contains(err.Error(), victim.Label) {
 		t.Errorf("missing tally not audited by name: %v", err)
 	}

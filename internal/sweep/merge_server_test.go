@@ -16,7 +16,6 @@ import (
 	"repro/internal/objstore"
 	"repro/internal/report"
 	"repro/internal/sim"
-	"repro/internal/simcache"
 )
 
 // These tests drive MergeServer against in-process daemons: the real
@@ -25,14 +24,14 @@ import (
 
 // tinyMixedManifest plans one workload of Fig. 14 plus the Monte-Carlo
 // Fig. 6 and the closed-form Table IV, small enough to run in-process.
-func tinyMixedManifest(t *testing.T, shards int) *Manifest {
+func tinyMixedManifest(t *testing.T) *Manifest {
 	t.Helper()
 	opt := report.PerfOptions{
 		Workloads: []string{"gcc"},
 		Cores:     2,
 		Sim:       sim.Options{Instructions: 50_000, WindowNS: 200_000},
 	}
-	m, err := PlanEvaluation([]string{"14", "6", "t4"}, opt, secPlanOpts(shards))
+	m, err := PlanEvaluation([]string{"14", "6", "t4"}, opt, secPlanOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,28 +59,20 @@ func (l *requestLog) list() []string {
 	return append([]string(nil), l.reqs...)
 }
 
-// serveStore runs the given shards of m into a fresh store directory
-// and serves it from an in-process daemon with m as its default
-// manifest — with the sweep accumulator as figure folder when folder
-// is set. It returns the store directory, a client namespaced to m,
-// and the daemon's request log.
-func serveStore(t *testing.T, m *Manifest, shards []int, folder bool) (string, *objstore.Client, *requestLog) {
+// serveStore runs the given jobs of m (every job when jobs is nil) into
+// a fresh store directory and serves it from an in-process daemon with
+// m as its default manifest — with the sweep accumulator as figure
+// folder when folder is set. It returns the store directory, a client
+// namespaced to m, and the daemon's request log.
+func serveStore(t *testing.T, m *Manifest, jobs []int, folder bool) (string, *objstore.Client, *requestLog) {
 	t.Helper()
 	store := t.TempDir()
-	for _, sh := range shards {
-		if _, err := m.RunShard(sh, store, 0, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
+	cache := fillStore(t, m, store, jobs)
 	raw, err := json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fp, err := objstore.ManifestFingerprint(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache, err := simcache.Open(store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +97,8 @@ func serveStore(t *testing.T, m *Manifest, shards []int, folder bool) (string, *
 // written under mergedDir even with packing requested — and its
 // Results equal Merge re-folding the daemon's store directory.
 func TestMergeServerReadsOneSnapshot(t *testing.T) {
-	m := tinyMixedManifest(t, 1)
-	store, c, log := serveStore(t, m, []int{0}, true)
+	m := tinyMixedManifest(t)
+	store, c, log := serveStore(t, m, nil, true)
 	mergedDir := filepath.Join(t.TempDir(), "merged")
 	got, err := m.MergeServer(mergedDir, c, true, nil)
 	if err != nil {
@@ -119,7 +110,7 @@ func TestMergeServerReadsOneSnapshot(t *testing.T) {
 	if _, err := os.Stat(mergedDir); !os.IsNotExist(err) {
 		t.Errorf("server merge touched mergedDir (stat: %v)", err)
 	}
-	want, err := m.Merge(t.TempDir(), []string{store}, nil)
+	want, err := m.Merge(store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +126,8 @@ func TestMergeServerReadsOneSnapshot(t *testing.T) {
 // namespace would read the daemon's default manifest, which need not
 // be this one, so the merge refuses it before any request.
 func TestMergeServerRejectsUnboundClient(t *testing.T) {
-	m := tinyMixedManifest(t, 1)
-	_, c, log := serveStore(t, m, nil, true)
+	m := tinyMixedManifest(t)
+	_, c, log := serveStore(t, m, []int{}, true)
 	_, err := m.MergeServer("", objstore.NewClient(c.Base()), false, nil)
 	if err == nil || !strings.Contains(err.Error(), "namespaced") {
 		t.Fatalf("unbound client: err = %v, want a namespacing error", err)
@@ -150,8 +141,12 @@ func TestMergeServerRejectsUnboundClient(t *testing.T) {
 // merge fails naming every incomplete figure with its covered/total
 // cell count.
 func TestMergeServerIncompleteSnapshot(t *testing.T) {
-	m := tinyMixedManifest(t, 2)
-	_, c, _ := serveStore(t, m, []int{0}, true)
+	m := tinyMixedManifest(t)
+	var half []int
+	for ji := 0; ji < len(m.Jobs); ji += 2 {
+		half = append(half, ji)
+	}
+	_, c, _ := serveStore(t, m, half, true)
 	data, err := c.FiguresJSON()
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +169,7 @@ func TestMergeServerIncompleteSnapshot(t *testing.T) {
 		}
 	}
 	if incomplete == 0 {
-		t.Fatalf("shard 0 alone covered every figure; the test exercises nothing (coverage %+v)", part.Coverage)
+		t.Fatalf("half the jobs covered every figure; the test exercises nothing (coverage %+v)", part.Coverage)
 	}
 }
 
@@ -182,8 +177,8 @@ func TestMergeServerIncompleteSnapshot(t *testing.T) {
 // for the manifest has no snapshot to merge from, and the error says
 // why.
 func TestMergeServerNoFigureFolder(t *testing.T) {
-	m := tinyMixedManifest(t, 1)
-	_, c, _ := serveStore(t, m, []int{0}, false)
+	m := tinyMixedManifest(t)
+	_, c, _ := serveStore(t, m, nil, false)
 	_, err := m.MergeServer("", c, false, nil)
 	if err == nil || !strings.Contains(err.Error(), "no figure folder") {
 		t.Fatalf("folder-less daemon: err = %v, want it to name the missing figure folder", err)
@@ -194,8 +189,8 @@ func TestMergeServerNoFigureFolder(t *testing.T) {
 // whose structure disagrees with this build's plan; each must fail the
 // merge naming the damaged figure.
 func TestMergeServerRejectsMismatchedSnapshot(t *testing.T) {
-	m := tinyMixedManifest(t, 1)
-	_, c, _ := serveStore(t, m, []int{0}, true)
+	m := tinyMixedManifest(t)
+	_, c, _ := serveStore(t, m, nil, true)
 	good, err := c.FiguresJSON()
 	if err != nil {
 		t.Fatal(err)

@@ -40,44 +40,33 @@ func TestSyncWriterSerializesConcurrentLines(t *testing.T) {
 	}
 }
 
-// TestSyncProgressWrapping pins the wrapper's edges: nil stays nil (so
-// the progress == nil fast paths keep working), and re-wrapping an
-// already-synchronized writer does not stack another lock.
+// TestSyncProgressWrapping pins the wrapper's edge: nil stays nil, so
+// the progress == nil fast paths keep working.
 func TestSyncProgressWrapping(t *testing.T) {
 	if syncProgress(nil) != nil {
 		t.Error("syncProgress(nil) is not nil")
 	}
-	var buf bytes.Buffer
-	w := syncProgress(&buf)
-	if syncProgress(w) != w {
-		t.Error("re-wrapping a syncWriter allocated a new one")
-	}
 }
 
-// TestRunShardProgressRaceHammer drives the real concurrent call site
-// of the shared progress writer: a worker pool executing a shard with
-// progress aimed at a plain bytes.Buffer. Before the syncProgress fix,
-// runJobPool's goroutines called fmt.Fprintf on that writer
-// unsynchronized — a data race -race reports and a source of
-// interleaved partial lines. The pool must produce one intact progress
-// line per job.
-func TestRunShardProgressRaceHammer(t *testing.T) {
-	m := mustPlanSecurity(t, []string{"6"}, 1)
+// TestRunWorkProgressRaceHammer drives the real concurrent call site
+// of the shared progress writer: a work-stealing worker running 8
+// goroutines against a loopback daemon, with progress aimed at a plain
+// bytes.Buffer. Unsynchronized, those goroutines' fmt.Fprintf calls
+// race (-race reports it) and can interleave partial lines. The worker
+// must produce one intact progress line per job.
+func TestRunWorkProgressRaceHammer(t *testing.T) {
+	m := mustPlanSecurity(t, []string{"6"})
+	_, c, _ := serveStore(t, m, []int{}, false)
 	var buf bytes.Buffer
-	if _, err := m.RunShard(0, t.TempDir(), 8, &buf); err != nil {
+	if _, err := m.RunWork(c, "hammer", 8, &buf); err != nil {
 		t.Fatal(err)
 	}
 	var jobLines int
-	for _, line := range strings.Split(buf.String(), "\n") {
-		if line == "" {
-			continue
-		}
-		switch {
-		case strings.HasSuffix(line, " simulated"), strings.HasSuffix(line, " cached"):
+	for _, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+		if strings.HasPrefix(line, "  hammer: ") &&
+			(strings.HasSuffix(line, " simulated") || strings.HasSuffix(line, " from store")) {
 			jobLines++
-		case strings.HasPrefix(line, "  "):
-			// pool summary lines (imports, packing) are fine
-		default:
+		} else {
 			t.Errorf("garbled progress line %q", line)
 		}
 	}

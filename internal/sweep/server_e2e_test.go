@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -195,24 +196,43 @@ func runSweepStdout(t *testing.T, bin, dir string, args ...string) string {
 }
 
 // mergeAgainstRefold runs `merge -server`, which renders from the
-// daemon's folded snapshot, and the independent oracle: `merge -dirs`
-// re-folding every entry of the daemon's own store directory. The two
-// results files must decode DeepEqual and the two renders must be
-// byte-identical. It writes the server merge's results to results and
-// returns its render.
+// daemon's folded snapshot, writing its results to results, checks it
+// against the re-fold oracle (requireRefold), and returns its render.
 func mergeAgainstRefold(t *testing.T, bin, dir, url, manifest, store, results string) string {
 	t.Helper()
 	got := runSweepStdout(t, bin, dir, "merge", "-server", url, "-manifest", manifest, "-out", results)
-	oracle := results + ".refold.json"
-	want := runSweepStdout(t, bin, dir, "merge", "-dirs", store, "-manifest", manifest,
-		"-merged-dir", results+".refold-cache", "-out", oracle)
-	if got != want {
-		t.Errorf("merge -server render differs from the re-fold of the daemon's store:\nserver:\n%s\nrefold:\n%s", got, want)
-	}
-	if a, b := loadResults(t, results), loadResults(t, oracle); !reflect.DeepEqual(a, b) {
-		t.Errorf("merge -server results differ from the re-fold of the daemon's store:\nserver: %+v\nrefold: %+v", a, b)
-	}
+	requireRefold(t, manifest, store, results, got)
 	return got
+}
+
+// requireRefold is the independent oracle for a `merge -server`: Merge
+// re-folding every entry of the daemon's own store directory in this
+// process. The server merge's results file must encode identically to
+// the re-fold, and its render must be byte-identical.
+func requireRefold(t *testing.T, manifest, store, results, render string) {
+	t.Helper()
+	m, err := LoadManifest(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := m.Merge(store, nil)
+	if err != nil {
+		t.Fatalf("re-fold of the daemon's store: %v", err)
+	}
+	var wantRender strings.Builder
+	if err := want.Render(&wantRender); err != nil {
+		t.Fatal(err)
+	}
+	if render != wantRender.String() {
+		t.Errorf("merge -server render differs from the re-fold of the daemon's store:\nserver:\n%s\nrefold:\n%s", render, wantRender.String())
+	}
+	a, err := json.Marshal(loadResults(t, results))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err := json.Marshal(want); err != nil || !bytes.Equal(a, b) {
+		t.Errorf("merge -server results differ from the re-fold of the daemon's store (%v):\nserver: %s\nrefold: %s", err, a, b)
+	}
 }
 
 // loadResults reads a merge-stage results file.
@@ -259,10 +279,9 @@ func loadFigureRows(t *testing.T, path, fig string) []report.PerfRow {
 // never touch a cache directory, and a `merge -server` of the daemon's
 // folded snapshot (equal to a re-fold of its store) must reproduce
 // figure 14's PerfRows bit-identically to a single-process run — with
-// zero filesystem interchange between any two processes. It
-// also times the same matrix through the PR 4 pre-sharded LPT path and
-// records both in BENCH_sweep.json's work_stealing section (jobs
-// claimed per worker, wall seconds per mode).
+// zero filesystem interchange between any two processes. It records
+// BENCH_sweep.json's work_stealing section (jobs claimed per worker,
+// wall seconds).
 func TestServerSweepWorkStealingTwoWorkerProcesses(t *testing.T) {
 	dir := t.TempDir()
 	sweepBin := buildCLI(t, dir, "rowswap-sweep")
@@ -286,7 +305,7 @@ func TestServerSweepWorkStealingTwoWorkerProcesses(t *testing.T) {
 	run("plan", "-fig", "14",
 		"-workloads", "gcc,mcf,gups", "-cores", "2",
 		"-instructions", fmt.Sprint(instructions), "-window", "200000",
-		"-shards", "2", "-out", manifest)
+		"-out", manifest)
 
 	url := startCached(t, cachedBin,
 		"-manifest", manifest, "-store-dir", filepath.Join(dir, "store"), "-addr", "127.0.0.1:0")
@@ -338,111 +357,26 @@ func TestServerSweepWorkStealingTwoWorkerProcesses(t *testing.T) {
 		t.Errorf("work-stealing rows differ from single-process rows:\nwant: %+v\ngot:  %+v", want, gotRows)
 	}
 
-	// The local-cache flags belong to the -dirs transport alone.
-	for _, tc := range []struct {
-		args []string
-		want string
-	}{
-		{[]string{"-server", url, "-merged-dir", filepath.Join(dir, "merged")}, "applies only to -dirs"},
-		{[]string{"-dirs", filepath.Join(dir, "store")}, "-dirs needs -merged-dir"},
-	} {
-		cmd := exec.Command(sweepBin, append([]string{"merge", "-manifest", manifest}, tc.args...)...)
-		cmd.Dir = dir
-		out, err := cmd.CombinedOutput()
-		if err == nil || !strings.Contains(string(out), tc.want) {
-			t.Errorf("merge %v: err %v, output %q; want a failure saying %q", tc.args, err, out, tc.want)
-		}
+	// merge has one transport: without -server it fails, naming it.
+	cmd := exec.Command(sweepBin, "merge", "-manifest", manifest)
+	cmd.Dir = dir
+	if out, err := cmd.CombinedOutput(); err == nil || !strings.Contains(string(out), "missing -server") {
+		t.Errorf("merge without -server: err %v, output %q; want a failure saying %q", err, out, "missing -server")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "merged")); !os.IsNotExist(err) {
-		t.Errorf("a rejected merge -server created its -merged-dir (stat: %v)", err)
-	}
-
-	// The comparison row: the same matrix through pre-sharded LPT with
-	// filesystem interchange (the PR 4 path), for the BENCH file.
-	lptManifest := filepath.Join(dir, "lpt-manifest.json")
-	run("plan", "-fig", "14",
-		"-workloads", "gcc,mcf,gups", "-cores", "2",
-		"-instructions", fmt.Sprint(instructions), "-window", "200000",
-		"-shards", "2", "-strategy", "cost", "-out", lptManifest)
-	lptStart := time.Now()
-	runWorkers(t, dir, sweepBin, lptManifest, []string{filepath.Join(dir, "lpt-w0"), filepath.Join(dir, "lpt-w1")})
-	lptSecs := time.Since(lptStart).Seconds()
 
 	perWorker := map[string]any{}
 	for w, n := range claimed {
 		perWorker[w] = n
 	}
 	writeBenchSection(t, "work_stealing", map[string]any{
-		"benchmark":                   "ServerSweepWorkStealing",
-		"jobs":                        9,
-		"worker_processes":            2,
-		"jobs_claimed_per_worker":     perWorker,
-		"work_stealing_wall_seconds":  stealSecs,
-		"lpt_presharded_wall_seconds": lptSecs,
-		"instructions_per_core":       instructions,
-		"requeues":                    st["requeues"],
+		"benchmark":                  "ServerSweepWorkStealing",
+		"jobs":                       9,
+		"worker_processes":           2,
+		"jobs_claimed_per_worker":    perWorker,
+		"work_stealing_wall_seconds": stealSecs,
+		"instructions_per_core":      instructions,
+		"requeues":                   st["requeues"],
 	})
-}
-
-// TestServerSweepRunShardServer covers the plan-time shard transport
-// over HTTP: a daemon started with no manifest, one `run-shard -server`
-// process per shard, then `merge -server`. Each shard registers the
-// manifest and completes its jobs without a lease, so the daemon's
-// snapshot is complete when the shards exit; it must equal the re-fold
-// of the daemon's store and reproduce figure 14's single-process rows.
-func TestServerSweepRunShardServer(t *testing.T) {
-	dir := t.TempDir()
-	sweepBin := buildCLI(t, dir, "rowswap-sweep")
-	cachedBin := buildCLI(t, dir, "rowswap-cached")
-
-	const instructions = 200_000
-	workloads := []string{"gcc", "mcf"}
-	manifest := filepath.Join(dir, "manifest.json")
-	runSweepStdout(t, sweepBin, dir, "plan", "-fig", "14",
-		"-workloads", strings.Join(workloads, ","), "-cores", "2",
-		"-instructions", fmt.Sprint(instructions), "-window", "200000",
-		"-shards", "2", "-out", manifest)
-	store := filepath.Join(dir, "store")
-	url := startCached(t, cachedBin, "-store-dir", store, "-addr", "127.0.0.1:0")
-
-	shards := make([]*exec.Cmd, 2)
-	for i := range shards {
-		shards[i] = exec.Command(sweepBin, "run-shard", "-manifest", manifest,
-			"-shard", fmt.Sprint(i), "-server", url, "-workers", "1")
-		shards[i].Dir = dir
-		shards[i].Stderr = os.Stderr
-		if err := shards[i].Start(); err != nil {
-			t.Fatalf("starting shard %d: %v", i, err)
-		}
-	}
-	for i, w := range shards {
-		if err := w.Wait(); err != nil {
-			t.Fatalf("shard %d failed: %v", i, err)
-		}
-	}
-
-	raw, err := os.ReadFile(manifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp, err := objstore.ManifestFingerprint(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := queueStatusPath(t, url, "/m/"+fp+"/status")
-	if done := st["done"].(float64); done != 6 { // 2 workloads × (baseline + 2 configs)
-		t.Errorf("queue reports %v jobs done, want 6", done)
-	}
-	if stale := st["stale_completions"].(float64); stale != 0 {
-		t.Errorf("lease-less shard completions counted %v stale, want 0", stale)
-	}
-
-	results := filepath.Join(dir, "results.json")
-	mergeAgainstRefold(t, sweepBin, dir, url, manifest, store, results)
-	want := singleProcessFig14(t, workloads, instructions)
-	if got := loadFigureRows(t, results, "14"); !reflect.DeepEqual(want, got) {
-		t.Errorf("run-shard -server rows differ from single-process rows:\nwant: %+v\ngot:  %+v", want, got)
-	}
 }
 
 // TestServerSweepSurvivesKilledWorker is the fault-tolerance
@@ -472,7 +406,7 @@ func TestServerSweepSurvivesKilledWorker(t *testing.T) {
 	run("plan", "-fig", "14",
 		"-workloads", "gcc,gups", "-cores", "2",
 		"-instructions", fmt.Sprint(instructions), "-window", "200000",
-		"-shards", "1", "-out", manifest)
+		"-out", manifest)
 
 	// A short lease so the orphaned job is re-claimable within the
 	// test's patience, but still far above one job's wall time.
@@ -542,7 +476,7 @@ func TestServerSweepDaemonRestartMidSweep(t *testing.T) {
 	run("plan", "-fig", "14",
 		"-workloads", "gcc,gups", "-cores", "2",
 		"-instructions", fmt.Sprint(instructions), "-window", "200000",
-		"-shards", "1", "-out", manifest)
+		"-out", manifest)
 	raw, err := os.ReadFile(manifest)
 	if err != nil {
 		t.Fatal(err)
@@ -720,10 +654,10 @@ func TestServerTwoManifestsConcurrently(t *testing.T) {
 	manifestB := filepath.Join(dir, "manifest-b.json")
 	run("plan", "-fig", "14", "-workloads", "gcc,mcf", "-cores", "2",
 		"-instructions", fmt.Sprint(instructions), "-window", "200000",
-		"-shards", "1", "-out", manifestA)
+		"-out", manifestA)
 	run("plan", "-fig", "14", "-workloads", "gups", "-cores", "2",
 		"-instructions", fmt.Sprint(instructions), "-window", "200000",
-		"-shards", "1", "-out", manifestB)
+		"-out", manifestB)
 	fpOf := func(path string) string {
 		raw, err := os.ReadFile(path)
 		if err != nil {
@@ -835,7 +769,7 @@ func TestServerSweepShortLeaseHeartbeats(t *testing.T) {
 	manifest := filepath.Join(dir, "manifest.json")
 	run("plan", "-fig", "14", "-workloads", "gcc", "-cores", "2",
 		"-instructions", fmt.Sprint(instructions), "-window", "200000",
-		"-shards", "1", "-out", manifest)
+		"-out", manifest)
 
 	url := startCached(t, cachedBin,
 		"-manifest", manifest, "-store-dir", filepath.Join(dir, "store"),
@@ -888,7 +822,7 @@ func TestServerSweepWarmStoreDifferential(t *testing.T) {
 	manifest := filepath.Join(dir, "manifest.json")
 	run("plan", "-fig", "14", "-workloads", "gcc", "-cores", "2",
 		"-instructions", fmt.Sprint(instructions), "-window", "200000",
-		"-shards", "1", "-out", manifest)
+		"-out", manifest)
 
 	store := filepath.Join(dir, "store")
 	url1, daemon1 := startCachedCmd(t, cachedBin,

@@ -48,7 +48,7 @@ func TestServerSweepFollowStreamsFigures(t *testing.T) {
 	manifest := filepath.Join(dir, "manifest.json")
 	run("plan", "-fig", "14,6,t4", "-workloads", "gcc,gups", "-cores", "2",
 		"-instructions", fmt.Sprint(instructions), "-window", "200000",
-		"-trials", "1", "-mc-batch", "250", "-shards", "2", "-out", manifest)
+		"-trials", "1", "-mc-batch", "250", "-out", manifest)
 
 	url := startCached(t, cachedBin,
 		"-manifest", manifest, "-store-dir", filepath.Join(dir, "store"),

@@ -4,32 +4,33 @@
 // the §IX-A comparators — whose cells are independent, deterministic
 // simulations, so the sweep is coordinated purely through data: a
 // coordinator expands one or more figures into a content-addressed,
-// evaluation-wide job manifest (PlanEvaluation), deduplicates cells
+// evaluation-wide job manifest (PlanEvaluation) and deduplicates cells
 // that several figures share (every figure's unprotected baseline,
-// recurring mitigation configs), shards the deduplicated set globally
-// — round-robin or LPT over estimated costs — hands each shard to a
-// plain worker process that simulates into a persistent result cache
-// (RunShard), and merges the worker cache directories
-// back into every covered figure's normalized-performance rows
-// (Merge). Because every job is keyed with internal/simcache's SHA-256
-// scheme — workload, system, normalized options, and binary
-// fingerprint — the merged rows are bit-identical to a single-process
-// run of each figure, and re-running any stage is idempotent.
+// recurring mitigation configs). A rowswap-cached daemon
+// (internal/objstore) serves the deduplicated set as a work-stealing
+// queue; worker processes claim jobs, simulate them, and push each
+// result to the daemon's store (RunWork); the daemon folds every
+// completed entry into each covered figure's rows as it lands, and
+// MergeServer reads that fold back. Because every job is keyed with
+// internal/simcache's SHA-256 scheme — workload, system, normalized
+// options, and binary fingerprint — the merged rows are bit-identical
+// to a single-process run of each figure, whichever worker ran which
+// job, and re-running any stage is idempotent. Merge re-folds a store
+// directory in-process: the independent oracle for the daemon's fold.
 //
-// Since schema 3 the manifest is generic over job kinds: "run a
-// simulation" and "run a batch of Monte-Carlo attack trials" are two
-// implementations of the same plan → shard → work-steal → merge
-// pipeline. A manifest may therefore span the whole paper — the
-// performance figures' simulation cells and the security figures'
-// seeded trial batches — as one deduplicated, content-addressed job
-// set. Monte-Carlo results are mergeable tally envelopes
-// (attack.Tally) stored alongside simulation entries; merge folds them
-// associatively into MonteCarloResult rows, so the distributed run is
-// bit-identical to a single-process oracle regardless of completion
-// order.
+// The manifest is generic over job kinds: "run a simulation" and "run
+// a batch of Monte-Carlo attack trials" are two implementations of the
+// same plan → work-steal → merge pipeline. A manifest may therefore
+// span the whole paper — the performance figures' simulation cells and
+// the security figures' seeded trial batches — as one deduplicated,
+// content-addressed job set. Monte-Carlo results are mergeable tally
+// envelopes (attack.Tally) stored alongside simulation entries; the
+// fold merges them associatively into MonteCarloResult rows, so the
+// distributed run is bit-identical to a single-process oracle
+// regardless of completion order.
 //
-// cmd/rowswap-sweep exposes the three stages as plan / run-shard /
-// merge subcommands; see its README for a whole-evaluation walkthrough.
+// cmd/rowswap-sweep exposes the stages as plan / work / merge
+// subcommands; see its README for a whole-evaluation walkthrough.
 package sweep
 
 import (
@@ -37,11 +38,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/attack"
 	"repro/internal/config"
@@ -51,13 +48,13 @@ import (
 )
 
 // ManifestSchema invalidates manifests written by incompatible versions
-// of this package. Schema 3 adds generic job kinds and the security
-// section; schema-2 manifests (perf-only, every job a simulation) are
-// still accepted unchanged — see validateStructure.
+// of this package. Schema 3 has generic job kinds and the security
+// section. Schema-3 manifests planned when the sweep still sharded at
+// plan time also carry "shards" and "strategy" fields and per-job
+// "shard" and "cost" fields; decoding ignores them.
 const ManifestSchema = 3
 
-// Job kinds. An empty Kind means JobKindSim: schema-2 manifests carry
-// no kind field, and schema-3 perf jobs omit it for the same bytes.
+// Job kinds. An empty Kind means JobKindSim: perf jobs omit it.
 const (
 	// JobKindSim: the job is one deduplicated simulation cell of the
 	// performance evaluation, keyed by simcache.RunKey.
@@ -68,18 +65,11 @@ const (
 	JobKindMC = "mc"
 )
 
-// Sharding strategies.
-const (
-	// StrategyRoundRobin deals jobs to shards in plan order. With
-	// uniform per-cell cost (the common case: every cell runs the same
-	// instruction budget) it balances well and keeps each shard's cells
-	// spread across workloads.
-	StrategyRoundRobin = "round-robin"
-	// StrategyCost greedily assigns the most expensive remaining job to
-	// the least-loaded shard (LPT scheduling), by the static estimates
-	// cellCost and mcJobCost.
-	StrategyCost = "cost"
-)
+// StrategyRoundRobin names the default plan-time sharding strategy.
+//
+// Deprecated: jobs are no longer assigned at plan time; PlanEvaluation
+// ignores PlanOptions.Strategy.
+const StrategyRoundRobin = "round-robin"
 
 // Job is one deduplicated cell of the evaluation: a (workload, system)
 // simulation identified by its content-addressed cache key. Jobs appear
@@ -88,8 +78,8 @@ const (
 // baseline, any config recurring across figures — appears exactly once,
 // with Workload and Label taken from its first occurrence.
 type Job struct {
-	// Kind is the job kind: JobKindSim (or "", its schema-2 spelling)
-	// or JobKindMC.
+	// Kind is the job kind: JobKindSim (or "", its usual spelling) or
+	// JobKindMC.
 	Kind string `json:"kind,omitempty"`
 	// Workload names the trace workload (row of the matrix). Monte-
 	// Carlo jobs carry the fixed pseudo-workload "monte-carlo" so
@@ -106,11 +96,6 @@ type Job struct {
 	// the trial spec, root seed, batch index, batch size, and binary
 	// fingerprint for Monte-Carlo batches (simcache.MCKey).
 	Key string `json:"key"`
-	// Cost is the deterministic static estimate StrategyCost's LPT
-	// assignment orders jobs by.
-	Cost float64 `json:"cost"`
-	// Shard is the worker index this job is assigned to.
-	Shard int `json:"shard"`
 	// MC locates a Monte-Carlo job's batch within the manifest's
 	// security section; nil for simulation jobs.
 	MC *MCRef `json:"mc,omitempty"`
@@ -129,7 +114,7 @@ type MCRef struct {
 }
 
 // kind resolves the job's kind, treating the empty string as
-// JobKindSim (the schema-2 spelling).
+// JobKindSim.
 func (j Job) kind() string {
 	if j.Kind == "" {
 		return JobKindSim
@@ -162,12 +147,12 @@ type Figure struct {
 	Cells []int `json:"cells"`
 }
 
-// Manifest is the coordinator's output: the full description of a
-// sharded evaluation sweep, sufficient for any worker process (of the
-// same build) to re-derive the exact simulations of its shard and for
-// the merge stage to audit completeness and rebuild every figure. It is
-// plain JSON so it can be shipped to remote machines alongside the
-// binary.
+// Manifest is the coordinator's output: the full description of an
+// evaluation sweep, sufficient for any worker process (of the same
+// build) to re-derive the exact simulation or trial batch behind any
+// job it claims, and for the merge stage to audit completeness and
+// rebuild every figure. It is plain JSON so it can be shipped to
+// remote machines alongside the binary.
 type Manifest struct {
 	Schema int `json:"schema"`
 	// Binary is the coordinating binary's fingerprint
@@ -181,19 +166,14 @@ type Manifest struct {
 	Cores int `json:"cores"`
 	// Sim carries the normalized simulation options every job runs with.
 	Sim sim.Options `json:"sim"`
-	// Shards is the worker count; Strategy how jobs were assigned.
-	// Older manifests may also carry a "cost_source" field, which
-	// decoding ignores.
-	Shards   int    `json:"shards"`
-	Strategy string `json:"strategy"`
 	// Figures lists the covered performance figures with their fan-out
 	// maps; Jobs is the deduplicated job set they fan out over
 	// (simulation jobs first, in evaluation order, then Monte-Carlo
 	// batches in security-cell order).
 	Figures []Figure `json:"figures"`
 	Jobs    []Job    `json:"jobs"`
-	// Security describes the manifest's security side (schema 3);
-	// nil for perf-only manifests.
+	// Security describes the manifest's security side; nil for
+	// perf-only manifests.
 	Security *Security `json:"security,omitempty"`
 }
 
@@ -228,30 +208,17 @@ type Security struct {
 	Cells   []report.SecurityCell `json:"cells,omitempty"`
 }
 
-// cellCost predicts a cell's relative simulation cost. The event
-// kernel's work scales with the number of memory accesses (one per
-// ~AvgGap instructions per core) plus a per-instruction floor for the
-// batched compute stretches; mitigated runs pay a small surcharge for
-// tracker and swap work. The estimate only steers StrategyCost's load
-// balance, so a rough deterministic heuristic is enough.
-func cellCost(cell report.MatrixCell, instructions int64) float64 {
-	var perInstr float64
-	for _, p := range cell.Workload.PerCore {
-		perInstr += 0.2 + 1/float64(p.AvgGap+1)
-	}
-	cost := float64(instructions) * perInstr
-	if cell.Label != "" {
-		cost *= 1.15
-	}
-	return cost
-}
-
 // PlanOptions tunes PlanEvaluation beyond the figure set and the
 // experiment options.
 type PlanOptions struct {
-	// Shards is the worker count jobs are distributed over.
+	// Shards is ignored.
+	//
+	// Deprecated: workers claim jobs from the daemon's queue; nothing
+	// is assigned at plan time.
 	Shards int
-	// Strategy is StrategyRoundRobin or StrategyCost.
+	// Strategy is ignored.
+	//
+	// Deprecated: see Shards.
 	Strategy string
 	// MCTrials is the per-cell Monte-Carlo trial count for security
 	// figures (0 = attack.DefaultTrials); MCBatch the trials-per-batch
@@ -262,11 +229,11 @@ type PlanOptions struct {
 	MCSeed   uint64
 }
 
-// Plan expands a single figure into a sharded job manifest — the
-// degenerate evaluation of one figure, kept as the convenience entry
-// point for single-figure sweeps and tests.
-func Plan(figID string, opt report.PerfOptions, shards int, strategy string) (*Manifest, error) {
-	return PlanEvaluation([]string{figID}, opt, PlanOptions{Shards: shards, Strategy: strategy})
+// Plan expands a single figure into a job manifest — the degenerate
+// evaluation of one figure, kept as the convenience entry point for
+// single-figure sweeps and tests.
+func Plan(figID string, opt report.PerfOptions) (*Manifest, error) {
+	return PlanEvaluation([]string{figID}, opt, PlanOptions{})
 }
 
 // MCWorkload is the pseudo-workload name Monte-Carlo jobs carry in the
@@ -297,26 +264,13 @@ func splitFigIDs(figIDs []string) (perfIDs, secIDs []string, err error) {
 	return perfIDs, secIDs, nil
 }
 
-// mcJobCost predicts a trial batch's relative cost for StrategyCost.
-// A direct-regime trial simulates an expected 1/p windows (one Poisson
-// draw each); tail-regime and latent-only trials are constant work.
-// Like cellCost this only steers load balance.
-func mcJobCost(spec attack.TrialSpec, trials int) float64 {
-	p := spec.Model.EpochSuccessProb(spec.Rounds)
-	perTrial := 4.0
-	if p >= attack.MinDirectProb && p < 1 {
-		perTrial = 1 / p
-	}
-	return float64(trials) * perTrial
-}
-
 // PlanEvaluation expands the given figures — performance, security, or
-// a mix — into one deduplicated, sharded job manifest without running
-// anything. Planning is deterministic: the same figures, options,
-// shard count, seed, and binary always produce the same manifest, so
-// coordinator and workers can independently agree on every job's
-// identity. Simulation jobs come
-// first (evaluation order), then every security cell's trial batches.
+// a mix — into one deduplicated job manifest without running anything.
+// Planning is deterministic: the same figures, options, seed, and
+// binary always produce the same manifest, so coordinator and workers
+// can independently agree on every job's identity. Simulation jobs
+// come first (evaluation order), then every security cell's trial
+// batches.
 func PlanEvaluation(figIDs []string, opt report.PerfOptions, po PlanOptions) (*Manifest, error) {
 	if len(figIDs) == 0 {
 		return nil, fmt.Errorf("sweep: no figures requested")
@@ -325,21 +279,8 @@ func PlanEvaluation(figIDs []string, opt report.PerfOptions, po PlanOptions) (*M
 	if err != nil {
 		return nil, err
 	}
-	if po.Shards < 1 {
-		return nil, fmt.Errorf("sweep: shard count %d < 1", po.Shards)
-	}
-	switch po.Strategy {
-	case StrategyRoundRobin, StrategyCost:
-	default:
-		return nil, fmt.Errorf("sweep: unknown sharding strategy %q", po.Strategy)
-	}
 
-	m := &Manifest{
-		Schema:   ManifestSchema,
-		Binary:   simcache.CodeVersion(),
-		Shards:   po.Shards,
-		Strategy: po.Strategy,
-	}
+	m := &Manifest{Schema: ManifestSchema, Binary: simcache.CodeVersion()}
 	var jobs []Job
 
 	var eval report.EvaluationPlan
@@ -364,7 +305,6 @@ func PlanEvaluation(figIDs []string, opt report.PerfOptions, po PlanOptions) (*M
 				Workload: cell.Workload.Name,
 				Label:    cell.Label,
 				Key:      eval.Keys[i],
-				Cost:     cellCost(cell, eval.Sim.Instructions),
 			})
 		}
 		mfigs := make([]Figure, len(eval.Figures))
@@ -414,7 +354,6 @@ func PlanEvaluation(figIDs []string, opt report.PerfOptions, po PlanOptions) (*M
 					Workload: MCWorkload,
 					Label:    fmt.Sprintf("%s batch %d", cell.Label, b),
 					Key:      simcache.MCKey(cell.Spec, root, b, n),
-					Cost:     mcJobCost(cell.Spec, n),
 					MC:       &MCRef{Cell: ci, Batch: b, Trials: n},
 				})
 			}
@@ -424,40 +363,8 @@ func PlanEvaluation(figIDs []string, opt report.PerfOptions, po PlanOptions) (*M
 		return nil, fmt.Errorf("sweep: figures %s cover nothing", strings.Join(figIDs, ","))
 	}
 
-	assignShards(jobs, po.Shards, po.Strategy)
 	m.Jobs = jobs
 	return m, nil
-}
-
-// assignShards distributes jobs across shards in place.
-func assignShards(jobs []Job, shards int, strategy string) {
-	if strategy == StrategyRoundRobin {
-		for i := range jobs {
-			jobs[i].Shard = i % shards
-		}
-		return
-	}
-	// LPT: most expensive job first onto the least-loaded shard. Ties
-	// break toward the earlier job and the lower shard index, keeping
-	// the assignment deterministic.
-	order := make([]int, len(jobs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return jobs[order[a]].Cost > jobs[order[b]].Cost
-	})
-	loads := make([]float64, shards)
-	for _, ji := range order {
-		best := 0
-		for s := 1; s < shards; s++ {
-			if loads[s] < loads[best] {
-				best = s
-			}
-		}
-		jobs[ji].Shard = best
-		loads[best] += jobs[ji].Cost
-	}
 }
 
 // perfOptions reconstructs the planning options the manifest was built
@@ -467,30 +374,13 @@ func (m *Manifest) perfOptions() report.PerfOptions {
 }
 
 // validateStructure checks the manifest's internal consistency without
-// re-deriving any plan: schema, shard assignments, key uniqueness, job
-// kinds, the figure fan-out maps, and the security section's batch
-// coverage. Every failure is an operator-actionable error — these are
-// the mistakes a hand-edited or corrupted manifest, or a mismatched
-// -shards between plan and workers, actually produces. Schema-2
-// manifests (perf-only, planned before generic job kinds existed) are
-// accepted unchanged.
+// re-deriving any plan: schema, key uniqueness, job kinds, the figure
+// fan-out maps, and the security section's batch coverage. Every
+// failure is an operator-actionable error — these are the mistakes a
+// hand-edited or corrupted manifest actually produces.
 func (m *Manifest) validateStructure() error {
-	switch m.Schema {
-	case ManifestSchema:
-	case 2:
-		if m.Security != nil {
-			return fmt.Errorf("sweep: manifest declares schema 2 but carries a security section; schema 2 is perf-only — re-run plan with this build to get a schema-%d manifest", ManifestSchema)
-		}
-		for i, j := range m.Jobs {
-			if j.Kind != "" || j.MC != nil {
-				return fmt.Errorf("sweep: manifest declares schema 2 but job %d (%s) carries a job kind; schema 2 is perf-only — re-run plan with this build", i, j.desc())
-			}
-		}
-	default:
-		return fmt.Errorf("sweep: manifest schema %d, this build expects %d (or a perf-only schema-2 manifest); re-run plan with this build — schema 1 single-figure manifests predate evaluation-wide planning", m.Schema, ManifestSchema)
-	}
-	if m.Shards < 1 {
-		return fmt.Errorf("sweep: manifest declares %d shards; a sweep needs at least 1", m.Shards)
+	if m.Schema != ManifestSchema {
+		return fmt.Errorf("sweep: manifest schema %d, this build expects %d; re-run plan with this build", m.Schema, ManifestSchema)
 	}
 	if len(m.Figures) == 0 && m.Security == nil {
 		return fmt.Errorf("sweep: manifest covers no figures")
@@ -518,9 +408,6 @@ func (m *Manifest) validateStructure() error {
 			return fmt.Errorf("sweep: jobs %d (%s) and %d (%s) share cache key %.12s…: the job set is deduplicated by construction, so a duplicate means the manifest was corrupted or hand-edited — re-run plan", prev, m.Jobs[prev].desc(), i, j.desc(), j.Key)
 		}
 		seenKey[j.Key] = i
-		if j.Shard < 0 || j.Shard >= m.Shards {
-			return fmt.Errorf("sweep: job %d (%s) is assigned to shard %d, but the manifest declares %d shards (valid: 0…%d) — re-run plan instead of editing shard assignments", i, j.desc(), j.Shard, m.Shards, m.Shards-1)
-		}
 		switch j.kind() {
 		case JobKindSim:
 			if j.MC != nil {
@@ -852,171 +739,58 @@ func LoadManifestRaw(path string) (*Manifest, []byte, error) {
 	return &m, data, nil
 }
 
-// ShardStats reports what a RunShard invocation did.
-type ShardStats struct {
-	// Jobs is the number of manifest jobs in the shard; Hits of those
-	// were already present in the cache directory (idempotent re-runs,
-	// or entries shared with earlier sweeps).
-	Jobs, Hits int
-}
-
-// RunShard executes every job of the given shard — simulations and
-// Monte-Carlo trial batches alike — writing results into the simcache
-// directory at cacheDir. It is the worker-process entry point: plain,
-// stateless, and idempotent — a re-run after a crash redoes only the
-// jobs the cache is missing. Jobs are independent and deterministic,
-// so they are spread over a pool of workers goroutines (0 = one per
-// CPU) without affecting any result.
-func (m *Manifest) RunShard(shard int, cacheDir string, workers int, progress io.Writer) (ShardStats, error) {
-	var stats ShardStats
-	p, err := m.expand()
-	if err != nil {
-		return stats, err
-	}
-	if shard < 0 || shard >= m.Shards {
-		return stats, fmt.Errorf("sweep: shard %d out of range [0, %d)", shard, m.Shards)
-	}
-	cache, err := simcache.Open(cacheDir)
-	if err != nil {
-		return stats, fmt.Errorf("sweep: cache dir: %w", err)
-	}
-
-	mine := m.shardJobs(shard)
-	stats.Jobs = len(mine)
-	exec := func(ji int) (bool, error) { return p.run(m, ji, cache) }
-	stats.Hits, err = m.runJobPool(mine, workers, progress, fmt.Sprintf("shard %d", shard), exec)
-	return stats, err
-}
-
-// shardJobs lists the manifest job indices assigned to shard.
-func (m *Manifest) shardJobs(shard int) []int {
-	var mine []int
-	for i, j := range m.Jobs {
-		if j.Shard == shard {
-			mine = append(mine, i)
-		}
-	}
-	return mine
-}
-
-// runJobPool spreads exec over the given manifest job indices on a
-// pool of workers goroutines (0 = one per CPU), stopping at the first
-// error. Jobs are independent and deterministic, so the pool affects
-// wall time only, never any result. It returns how many jobs exec
-// reported as store/cache hits.
-func (m *Manifest) runJobPool(indices []int, workers int, progress io.Writer, who string, exec func(ji int) (bool, error)) (int, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(indices) {
-		workers = len(indices)
-	}
-	progress = syncProgress(progress)
-	var (
-		cursor  atomic.Int64
-		hits    atomic.Int64
-		failed  atomic.Bool
-		firstMu sync.Mutex
-		firstE  error
-		wg      sync.WaitGroup
-	)
-	cursor.Store(-1)
-	for n := 0; n < workers; n++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(cursor.Add(1))
-				if k >= len(indices) || failed.Load() {
-					return
-				}
-				ji := indices[k]
-				hit, err := exec(ji)
-				if err != nil {
-					firstMu.Lock()
-					if firstE == nil {
-						firstE = fmt.Errorf("sweep: %s: %s: %w", who, m.Jobs[ji].desc(), err)
-					}
-					firstMu.Unlock()
-					failed.Store(true)
-					return
-				}
-				if hit {
-					hits.Add(1)
-				}
-				if progress != nil {
-					state := "simulated"
-					if hit {
-						state = "cached"
-					}
-					fmt.Fprintf(progress, "  %s: %-30s %s\n", who, m.Jobs[ji].desc(), state)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstE != nil {
-		return int(hits.Load()), firstE
-	}
-	return int(hits.Load()), nil
-}
-
-// Merge unions the worker cache directories into mergedDir, audits that
-// every manifest job has a valid result, and reconstructs every covered
-// figure's normalized rows from the single merged result set via the
-// manifest's fan-out maps. The assembly arithmetic is
-// report.MatrixPlan.Rows — the same code the in-process matrix uses —
-// so each figure's merged rows are bit-identical to a single-process
-// run. The imported entries land in one segment of mergedDir, so later
-// readers pay one file scan instead of thousands of opens.
-func (m *Manifest) Merge(mergedDir string, workerDirs []string, progress io.Writer) (*Results, error) {
-	p, err := m.expand()
+// Merge re-folds every manifest job from the store directory storeDir
+// (typically a rowswap-cached daemon's -store-dir), audits that each
+// has a valid result, and reconstructs every covered figure's rows. It
+// is MergeServer's independent oracle: the same Accumulator arithmetic
+// as the daemon's fold, fed from the stored entries alone. Like that
+// fold it reads by the manifest's own keys, so a manifest planned by
+// another build of the CLI re-folds too; its build-independent
+// structure is still verified against this build's plans. A directory
+// that does not exist is an error; an existing one gains no entries
+// (simcache.Open still age-prunes segments old builds left there).
+func (m *Manifest) Merge(storeDir string, progress io.Writer) (*Results, error) {
+	acc, err := m.NewAccumulator()
 	if err != nil {
 		return nil, err
 	}
-	cache, err := simcache.Open(mergedDir)
+	if _, err := os.Stat(storeDir); err != nil {
+		return nil, fmt.Errorf("sweep: store dir: %w", err)
+	}
+	store, err := simcache.Open(storeDir)
 	if err != nil {
-		return nil, fmt.Errorf("sweep: merged dir: %w", err)
+		return nil, fmt.Errorf("sweep: store dir: %w", err)
 	}
-	for _, dir := range workerDirs {
-		n, err := cache.ImportDir(dir)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: import %s: %w", dir, err)
-		}
-		if progress != nil {
-			fmt.Fprintf(progress, "  imported %d entries from %s\n", n, dir)
-		}
+	res, err := acc.assemble(store)
+	if err == nil && progress != nil {
+		fmt.Fprintf(progress, "  re-folded %d jobs from %s\n", len(m.Jobs), storeDir)
 	}
-	return m.assemble(p, cache)
+	return res, err
 }
 
-// assemble audits that the merged cache holds a valid result for every
-// manifest job, reconstructs every covered figure's rows via the
-// fan-out maps — simulation results into performance rows, batch
-// tallies folded per security cell into MonteCarloResult rows. It is
-// Merge's tail; MergeServer reads the daemon's own fold instead, so
-// Merge over the daemon's store directory is its independent re-fold
-// oracle. Tally folding is
-// exact (attack.Tally merges over integer accumulators), so the
-// security rows are bit-identical to a single-process oracle run of
-// the same seeded trial stream, whatever order workers completed the
-// batches in. A stored tally that decodes but violates its invariants
-// fails the merge loudly — corrupt data never folds in.
-func (m *Manifest) assemble(p plan, cache *simcache.Cache) (*Results, error) {
-	acc := m.newAccumulator(p)
-	for ji := range m.Jobs {
-		if _, err := acc.FoldJob(ji, cache); err != nil {
+// assemble folds every manifest job from store, audits that each has a
+// valid result, and snapshots the rows via the fan-out maps —
+// simulation results into performance rows, batch tallies folded per
+// security cell into MonteCarloResult rows. Tally folding is exact
+// (attack.Tally merges over integer accumulators), so the security
+// rows are bit-identical to a single-process oracle run of the same
+// seeded trial stream, whatever order workers completed the batches
+// in. A stored tally that decodes but violates its invariants fails
+// the merge loudly — corrupt data never folds in.
+func (a *Accumulator) assemble(store simcache.Store) (*Results, error) {
+	for ji := range a.m.Jobs {
+		if _, err := a.FoldJob(ji, store); err != nil {
 			return nil, err
 		}
 	}
-	if missing := acc.Missing(); len(missing) > 0 {
+	if missing := a.Missing(); len(missing) > 0 {
 		if len(missing) > 8 {
 			missing = append(missing[:8], fmt.Sprintf("… and %d more", len(missing)-8))
 		}
 		return nil, fmt.Errorf("sweep: merge incomplete, %d of %d results missing:\n  %s",
-			len(missing), len(m.Jobs), strings.Join(missing, "\n  "))
+			len(missing), len(a.m.Jobs), strings.Join(missing, "\n  "))
 	}
-	out, _, err := acc.Snapshot()
+	out, _, err := a.Snapshot()
 	return out, err
 }
 
@@ -1048,7 +822,7 @@ type Results struct {
 	Schema  int             `json:"schema"`
 	Figures []FigureResults `json:"figures"`
 	// Security holds the security figures' merged Monte-Carlo rows
-	// (schema 3; empty for perf-only sweeps).
+	// (empty for perf-only sweeps).
 	Security []SecurityResults `json:"security,omitempty"`
 }
 
@@ -1075,10 +849,9 @@ func (r *Results) SecurityRows(id string) ([]MonteCarloRow, bool) {
 
 // Render prints every covered figure from its rows, exactly as the
 // in-process figure functions would, separated by blank lines.
-// Schema-2 results files (perf-only) render unchanged.
 func (r *Results) Render(w io.Writer) error {
-	if r.Schema != ManifestSchema && r.Schema != 2 {
-		return fmt.Errorf("sweep: results schema %d, this build expects %d (or perf-only schema 2)", r.Schema, ManifestSchema)
+	if r.Schema != ManifestSchema {
+		return fmt.Errorf("sweep: results schema %d, this build expects %d", r.Schema, ManifestSchema)
 	}
 	if len(r.Figures) == 0 && len(r.Security) == 0 {
 		return fmt.Errorf("sweep: results cover no figures")

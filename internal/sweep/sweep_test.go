@@ -2,15 +2,19 @@ package sweep
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/objstore"
 	"repro/internal/report"
 	"repro/internal/sim"
+	"repro/internal/simcache"
 )
 
 // quickOpts is a small matrix that still spans baseline sharing and
@@ -41,27 +45,98 @@ func requireNonTrivial(t *testing.T, rows []report.PerfRow) {
 	t.Fatal("every normalized value is exactly 1.0; the matrix exercises no mitigation work")
 }
 
-func mustPlan(t *testing.T, shards int, strategy string) *Manifest {
+func mustPlan(t *testing.T) *Manifest {
 	t.Helper()
-	m, err := Plan("14", quickOpts(), shards, strategy)
+	m, err := Plan("14", quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
 }
 
-func mustPlanEvaluation(t *testing.T, figs []string, shards int, strategy string) *Manifest {
+func mustPlanEvaluation(t *testing.T, figs []string) *Manifest {
 	t.Helper()
-	m, err := PlanEvaluation(figs, quickOpts(), PlanOptions{Shards: shards, Strategy: strategy})
+	m, err := PlanEvaluation(figs, quickOpts(), PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// fillStore runs the given manifest jobs (every job when jobs is nil)
+// in order into the store directory dir, as workers would have pushed
+// them, and returns the store.
+func fillStore(t *testing.T, m *Manifest, dir string, jobs []int) *simcache.Cache {
+	t.Helper()
+	p, err := m.expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := simcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jobs == nil {
+		jobs = make([]int, len(m.Jobs))
+		for i := range jobs {
+			jobs[i] = i
+		}
+	}
+	for _, ji := range jobs {
+		if _, err := p.run(m, ji, store); err != nil {
+			t.Fatalf("%s: %v", m.Jobs[ji].desc(), err)
+		}
+	}
+	return store
+}
+
+// runTwoWorkers drains m's queue with two concurrently running RunWork
+// workers, w0 and w1, over a loopback daemon that folds as results
+// land, and returns the daemon's store directory, a client namespaced
+// to m, and the daemon's request log.
+func runTwoWorkers(t *testing.T, m *Manifest) (string, *objstore.Client, *requestLog) {
+	t.Helper()
+	store, c, log := serveStore(t, m, []int{}, true)
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = m.RunWork(c, fmt.Sprintf("w%d", i), 1, nil)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return store, c, log
+}
+
+// mergeBothWays merges a drained sweep from the daemon's snapshot
+// (MergeServer) and by re-folding its store directory (Merge), and
+// fails unless the two agree.
+func mergeBothWays(t *testing.T, m *Manifest, store string, c *objstore.Client) *Results {
+	t.Helper()
+	got, err := m.MergeServer("", c, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refold, err := m.Merge(store, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, refold) {
+		t.Errorf("server merge differs from the re-fold of the daemon's store:\nserver: %+v\nrefold: %+v", got, refold)
+	}
+	return got
 }
 
 func TestPlanIsDeterministic(t *testing.T) {
-	a := mustPlan(t, 3, StrategyCost)
-	b := mustPlan(t, 3, StrategyCost)
+	a := mustPlan(t)
+	b := mustPlan(t)
 	if !reflect.DeepEqual(a, b) {
 		t.Error("two plans of the same sweep differ")
 	}
@@ -80,9 +155,6 @@ func TestPlanIsDeterministic(t *testing.T) {
 			t.Fatalf("job key empty or duplicated: %+v", j)
 		}
 		seen[j.Key] = true
-		if j.Cost <= 0 {
-			t.Errorf("job %s has cost %g", j.desc(), j.Cost)
-		}
 	}
 	if len(a.Figures) != 1 || a.Figures[0].Fig != "14" {
 		t.Fatalf("single-figure plan carries figures %+v", a.Figures)
@@ -105,13 +177,10 @@ func TestPlanIsDeterministic(t *testing.T) {
 // figure's fan-out still covers its full matrix.
 func TestEvaluationPlanDeduplicates(t *testing.T) {
 	figs := report.PerfFigureIDs()
-	eval, err := PlanEvaluation(figs, quickOpts(), PlanOptions{Shards: 2, Strategy: StrategyCost})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eval := mustPlanEvaluation(t, figs)
 	perFigure := 0
 	for _, id := range figs {
-		m, err := Plan(id, quickOpts(), 2, StrategyCost)
+		m, err := Plan(id, quickOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,67 +216,25 @@ func TestEvaluationPlanDeduplicates(t *testing.T) {
 	if err := eval.Validate(); err != nil {
 		t.Errorf("evaluation plan does not validate: %v", err)
 	}
-	if !reflect.DeepEqual(eval, mustPlanEvaluation(t, figs, 2, StrategyCost)) {
+	if !reflect.DeepEqual(eval, mustPlanEvaluation(t, figs)) {
 		t.Error("two evaluation plans of the same sweep differ")
 	}
 }
 
 func TestPlanRejectsBadInput(t *testing.T) {
-	if _, err := Plan("nope", quickOpts(), 2, StrategyRoundRobin); err == nil {
+	if _, err := Plan("nope", quickOpts()); err == nil {
 		t.Error("unknown figure accepted")
 	}
-	if _, err := Plan("14", quickOpts(), 0, StrategyRoundRobin); err == nil {
-		t.Error("zero shards accepted")
-	}
-	if _, err := Plan("14", quickOpts(), 2, "random"); err == nil {
-		t.Error("unknown strategy accepted")
-	}
-	if _, err := PlanEvaluation(nil, quickOpts(), PlanOptions{Shards: 2, Strategy: StrategyRoundRobin}); err == nil {
+	if _, err := PlanEvaluation(nil, quickOpts(), PlanOptions{}); err == nil {
 		t.Error("empty figure set accepted")
 	}
-	if _, err := PlanEvaluation([]string{"14", "14"}, quickOpts(), PlanOptions{Shards: 2, Strategy: StrategyRoundRobin}); err == nil {
+	if _, err := PlanEvaluation([]string{"14", "14"}, quickOpts(), PlanOptions{}); err == nil {
 		t.Error("duplicate figure accepted")
 	}
 }
 
-func TestShardAssignmentCoversAllShards(t *testing.T) {
-	for _, strategy := range []string{StrategyRoundRobin, StrategyCost} {
-		m := mustPlan(t, 2, strategy)
-		counts := map[int]int{}
-		for _, j := range m.Jobs {
-			counts[j.Shard]++
-		}
-		if len(counts) != 2 {
-			t.Errorf("%s: jobs landed on %d shards, want 2", strategy, len(counts))
-		}
-		// 9 jobs over 2 shards: no shard may hold more than 2/3 of them
-		// under either strategy (round-robin gives 5/4; LPT must not
-		// degenerate further on a near-uniform matrix).
-		for s, n := range counts {
-			if n > 6 {
-				t.Errorf("%s: shard %d holds %d of 9 jobs", strategy, s, n)
-			}
-		}
-	}
-}
-
-func TestCostStrategyBalancesLoad(t *testing.T) {
-	m := mustPlan(t, 2, StrategyCost)
-	loads := map[int]float64{}
-	var total float64
-	for _, j := range m.Jobs {
-		loads[j.Shard] += j.Cost
-		total += j.Cost
-	}
-	for s, l := range loads {
-		if frac := l / total; frac > 0.75 {
-			t.Errorf("shard %d carries %.0f%% of the estimated cost", s, frac*100)
-		}
-	}
-}
-
 func TestManifestRoundTripsThroughJSON(t *testing.T) {
-	m := mustPlanEvaluation(t, []string{"4", "14"}, 2, StrategyRoundRobin)
+	m := mustPlanEvaluation(t, []string{"4", "14"})
 	path := filepath.Join(t.TempDir(), "manifest.json")
 	if err := m.Save(path); err != nil {
 		t.Fatal(err)
@@ -223,31 +250,37 @@ func TestManifestRoundTripsThroughJSON(t *testing.T) {
 		t.Errorf("loaded manifest does not validate: %v", err)
 	}
 
-	// Manifests planned while measured costs still fed -strategy cost
-	// carry a "cost_source" field; they must still load, to the same
-	// manifest.
+	// Schema-3 manifests planned while the sweep still sharded at plan
+	// time carry shards, strategy and cost_source fields and a shard and
+	// cost per job; they must still load, to the same manifest, and
+	// validate.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := bytes.Replace(data, []byte(`"strategy":`), []byte(`"cost_source": "measured-wall-seconds", "strategy":`), 1)
-	if bytes.Equal(old, data) {
-		t.Fatal("saved manifest has no strategy field to prefix")
+	old := bytes.Replace(data, []byte(`"figures":`),
+		[]byte(`"shards": 2, "strategy": "cost", "cost_source": "measured-wall-seconds", "figures":`), 1)
+	old = bytes.ReplaceAll(old, []byte(`"key":`), []byte(`"cost": 1.5e5, "shard": 1, "key":`))
+	if bytes.Count(old, []byte(`"shard": 1`)) != len(m.Jobs) {
+		t.Fatal("saved manifest has no per-job key field to prefix")
 	}
 	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if loaded, err = LoadManifest(path); err != nil {
-		t.Fatalf("a manifest carrying cost_source does not load: %v", err)
+		t.Fatalf("a manifest carrying plan-time shard fields does not load: %v", err)
 	}
 	if !reflect.DeepEqual(m, loaded) {
-		t.Errorf("a manifest carrying cost_source loads differently:\nsaved:  %+v\nloaded: %+v", m, loaded)
+		t.Errorf("a manifest carrying plan-time shard fields loads differently:\nsaved:  %+v\nloaded: %+v", m, loaded)
+	}
+	if err := loaded.Validate(); err != nil {
+		t.Errorf("a manifest carrying plan-time shard fields does not validate: %v", err)
 	}
 }
 
 // TestValidateRejectsCorruptManifests is the table test of the
 // hardened structural validation: every corruption an operator can
-// realistically produce (hand-edits, mismatched -shards, truncation)
+// realistically produce (hand-edits, truncation)
 // must be rejected with an error naming the offending job or figure
 // and telling the operator what to do.
 func TestValidateRejectsCorruptManifests(t *testing.T) {
@@ -258,8 +291,6 @@ func TestValidateRejectsCorruptManifests(t *testing.T) {
 	}{
 		{"stale schema", func(m *Manifest) { m.Schema = 1 },
 			[]string{"schema 1", "re-run plan"}},
-		{"zero shards", func(m *Manifest) { m.Shards = 0 },
-			[]string{"0 shards", "at least 1"}},
 		{"no figures", func(m *Manifest) { m.Figures = nil },
 			[]string{"no figures"}},
 		{"no jobs", func(m *Manifest) { m.Jobs = nil },
@@ -270,10 +301,6 @@ func TestValidateRejectsCorruptManifests(t *testing.T) {
 			[]string{"job 2", "empty cache key"}},
 		{"duplicate job key", func(m *Manifest) { m.Jobs[3].Key = m.Jobs[4].Key },
 			[]string{"jobs 3", "and 4", "share cache key", "re-run plan"}},
-		{"negative shard", func(m *Manifest) { m.Jobs[1].Shard = -1 },
-			[]string{"job 1", "shard -1", "valid: 0…1"}},
-		{"shard beyond range", func(m *Manifest) { m.Jobs[1].Shard = 7 },
-			[]string{"job 1", "shard 7", "2 shards", "valid: 0…1"}},
 		{"fan-out beyond jobs", func(m *Manifest) { m.Figures[0].Cells[5] = len(m.Jobs) },
 			[]string{"figure 4", "cell 5", "fan-out map is corrupt"}},
 		{"negative fan-out", func(m *Manifest) { m.Figures[1].Cells[0] = -2 },
@@ -291,7 +318,7 @@ func TestValidateRejectsCorruptManifests(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m := mustPlanEvaluation(t, []string{"4", "14"}, 2, StrategyRoundRobin)
+			m := mustPlanEvaluation(t, []string{"4", "14"})
 			tc.mutate(m)
 			err := m.Validate()
 			if err == nil {
@@ -320,7 +347,7 @@ func TestExpandRejectsTamperedManifest(t *testing.T) {
 	}
 	for name, mutate := range tamper {
 		t.Run(name, func(t *testing.T) {
-			m := mustPlanEvaluation(t, []string{"4", "14"}, 2, StrategyRoundRobin)
+			m := mustPlanEvaluation(t, []string{"4", "14"})
 			mutate(m)
 			if err := m.Validate(); err == nil {
 				t.Errorf("tampered manifest (%s) validated", name)
@@ -331,8 +358,10 @@ func TestExpandRejectsTamperedManifest(t *testing.T) {
 
 // TestShardedSweepMatchesInProcessMatrix is the in-process half of the
 // determinism contract (the process-boundary half is the end-to-end
-// test): running every shard into its own cache directory and merging
-// must yield rows bit-identical to report.Fig14 on the same options.
+// test): two work-stealing workers draining the queue of a loopback
+// daemon must yield rows bit-identical to report.Fig14 on the same
+// options, whether read from the daemon's fold or re-folded from its
+// store.
 func TestShardedSweepMatchesInProcessMatrix(t *testing.T) {
 	opt := quickOpts()
 	report.ResetRunMemo()
@@ -342,44 +371,22 @@ func TestShardedSweepMatchesInProcessMatrix(t *testing.T) {
 	}
 	requireNonTrivial(t, want)
 
-	for _, strategy := range []string{StrategyRoundRobin, StrategyCost} {
-		t.Run(strategy, func(t *testing.T) {
-			m, err := Plan("14", opt, 2, strategy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base := t.TempDir()
-			var dirs []string
-			for shard := 0; shard < m.Shards; shard++ {
-				dir := filepath.Join(base, "worker", string(rune('0'+shard)))
-				dirs = append(dirs, dir)
-				stats, err := m.RunShard(shard, dir, 2, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if stats.Jobs == 0 {
-					t.Fatalf("shard %d ran no jobs", shard)
-				}
-			}
-			res, err := m.Merge(filepath.Join(base, "merged"), dirs, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows, ok := res.FigureRows("14")
-			if !ok {
-				t.Fatal("merged results carry no figure 14")
-			}
-			if !reflect.DeepEqual(want, rows) {
-				t.Errorf("sharded rows differ from in-process rows:\nwant: %+v\ngot:  %+v", want, rows)
-			}
-		})
+	m := mustPlan(t)
+	store, c, _ := runTwoWorkers(t, m)
+	rows, ok := mergeBothWays(t, m, store, c).FigureRows("14")
+	if !ok {
+		t.Fatal("merged results carry no figure 14")
+	}
+	if !reflect.DeepEqual(want, rows) {
+		t.Errorf("work-stealing rows differ from in-process rows:\nwant: %+v\ngot:  %+v", want, rows)
 	}
 }
 
 // TestEvaluationSweepMatchesPerFigureRuns is the whole-evaluation
-// analogue: one deduplicated manifest spanning several figures, run
-// shard by shard and merged once, must reconstruct every figure's rows
-// bit-identical to that figure's own in-process run.
+// analogue: one deduplicated manifest spanning several figures,
+// drained by two work-stealing workers and merged once, must
+// reconstruct every figure's rows bit-identical to that figure's own
+// in-process run.
 func TestEvaluationSweepMatchesPerFigureRuns(t *testing.T) {
 	opt := quickOpts()
 	figs := []string{"4", "12", "14"}
@@ -401,26 +408,9 @@ func TestEvaluationSweepMatchesPerFigureRuns(t *testing.T) {
 		requireNonTrivial(t, want[id])
 	}
 
-	m := mustPlanEvaluation(t, figs, 2, StrategyCost)
-	base := t.TempDir()
-	var dirs []string
-	totalJobs := 0
-	for shard := 0; shard < m.Shards; shard++ {
-		dir := filepath.Join(base, "worker", string(rune('0'+shard)))
-		dirs = append(dirs, dir)
-		stats, err := m.RunShard(shard, dir, 2, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		totalJobs += stats.Jobs
-	}
-	if totalJobs != len(m.Jobs) {
-		t.Fatalf("shards ran %d jobs, manifest lists %d", totalJobs, len(m.Jobs))
-	}
-	res, err := m.Merge(filepath.Join(base, "merged"), dirs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := mustPlanEvaluation(t, figs)
+	store, c, _ := runTwoWorkers(t, m)
+	res := mergeBothWays(t, m, store, c)
 	if len(res.Figures) != len(figs) {
 		t.Fatalf("merged results cover %d figures, want %d", len(res.Figures), len(figs))
 	}
@@ -436,42 +426,29 @@ func TestEvaluationSweepMatchesPerFigureRuns(t *testing.T) {
 	}
 }
 
-// TestRunShardIsIdempotent re-runs a shard over its own cache: the
-// second pass must be all hits and leave the merged rows unchanged.
-func TestRunShardIsIdempotent(t *testing.T) {
-	m := mustPlan(t, 1, StrategyRoundRobin)
-	dir := t.TempDir()
-	cold, err := m.RunShard(0, dir, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Hits != 0 {
-		t.Errorf("cold shard run reported %d hits", cold.Hits)
-	}
-	warm, err := m.RunShard(0, dir, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Hits != warm.Jobs {
-		t.Errorf("warm shard run: %d of %d jobs hit", warm.Hits, warm.Jobs)
-	}
-}
-
-// TestMergeReportsMissingShard proves an incomplete sweep fails loudly,
-// naming the shard whose results are absent.
+// TestMergeReportsMissingShard proves an incomplete sweep fails loudly:
+// with one worker's share of the jobs never stored, the merge names
+// the missing jobs. A store directory that does not exist fails too,
+// naming the directory, and is not created.
 func TestMergeReportsMissingShard(t *testing.T) {
-	m := mustPlan(t, 2, StrategyRoundRobin)
+	m := mustPlan(t)
 	dir := t.TempDir()
-	if _, err := m.RunShard(0, filepath.Join(dir, "w0"), 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Worker 1 never ran.
-	_, err := m.Merge(filepath.Join(dir, "merged"), []string{filepath.Join(dir, "w0")}, nil)
+	fillStore(t, m, dir, []int{0, 1, 2, 3})
+	_, err := m.Merge(dir, nil)
 	if err == nil {
 		t.Fatal("merge of an incomplete sweep succeeded")
 	}
-	if got := err.Error(); !strings.Contains(got, "shard 1") {
-		t.Errorf("merge error does not name the missing shard: %v", err)
+	for _, ji := range []int{4, 8} {
+		if got := err.Error(); !strings.Contains(got, m.Jobs[ji].desc()) {
+			t.Errorf("merge error does not name missing job %s: %v", m.Jobs[ji].desc(), err)
+		}
+	}
+	missing := filepath.Join(dir, "no-such-store")
+	if _, err := m.Merge(missing, nil); err == nil || !strings.Contains(err.Error(), missing) {
+		t.Errorf("merge of a missing store directory: err = %v, want it to name %s", err, missing)
+	}
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Errorf("merge created the missing store directory (stat: %v)", err)
 	}
 }
 
@@ -486,12 +463,10 @@ func TestMergedResultsRenderAndRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := mustPlan(t, 1, StrategyRoundRobin)
+	m := mustPlan(t)
 	dir := t.TempDir()
-	if _, err := m.RunShard(0, filepath.Join(dir, "w0"), 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Merge(filepath.Join(dir, "merged"), []string{filepath.Join(dir, "w0")}, nil)
+	fillStore(t, m, filepath.Join(dir, "store"), nil)
+	res, err := m.Merge(filepath.Join(dir, "store"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,15 +12,13 @@ import (
 	"repro/internal/objstore"
 )
 
-// This file is the networked side of the sweep: workers that push and
-// pull results through a rowswap-cached store daemon (internal/
-// objstore) instead of local cache directories, a work-stealing
-// execution mode that claims jobs from the daemon's queue instead of
-// honoring plan-time shard assignments, and a merge transport that
-// reads the daemon's already-folded figure snapshot over HTTP.
-// Together they make a multi-machine run of the evaluation need no
-// filesystem interchange at all: ship the binary, start the daemon,
-// point workers at it.
+// This file is the networked side of the sweep: work-stealing workers
+// that claim jobs from a rowswap-cached daemon's queue (internal/
+// objstore) and push and pull results through its store, and a merge
+// transport that reads the daemon's already-folded figure snapshot
+// over HTTP. Together they make a multi-machine run of the evaluation
+// need no filesystem interchange at all: ship the binary, start the
+// daemon, point workers at it.
 
 // QueueJobs converts the manifest's deduplicated job set into the
 // object store's claimable queue entries, in manifest order — a
@@ -32,42 +30,6 @@ func (m *Manifest) QueueJobs() []objstore.QueueJob {
 		jobs[i] = objstore.QueueJob{Key: j.Key, Workload: j.Workload, Label: j.Label}
 	}
 	return jobs
-}
-
-// RunShardServer executes every job of the given shard against the
-// HTTP store: results are pulled from and pushed to the daemon the
-// moment they exist, so the worker machine needs no cache directory
-// and nothing is copied afterwards. The plan-time shard assignment is
-// honored exactly as RunShard would — this is the drop-in transport
-// swap; see RunWork for the mode that also replaces the sharding.
-//
-// The client must be namespaced to the manifest (register it, then
-// Client.ForManifest): each pushed job is completed in its queue
-// without a lease, so the daemon folds it at once.
-func (m *Manifest) RunShardServer(shard int, client *objstore.Client, workers int, progress io.Writer) (ShardStats, error) {
-	var stats ShardStats
-	if client.Fingerprint() == "" {
-		return stats, fmt.Errorf("sweep: a server shard needs a client namespaced to the manifest (register it, then Client.ForManifest) to complete its jobs")
-	}
-	p, err := m.expand()
-	if err != nil {
-		return stats, err
-	}
-	if shard < 0 || shard >= m.Shards {
-		return stats, fmt.Errorf("sweep: shard %d out of range [0, %d)", shard, m.Shards)
-	}
-	mine := m.shardJobs(shard)
-	stats.Jobs = len(mine)
-	worker := fmt.Sprintf("shard-%d", shard)
-	exec := func(ji int) (bool, error) {
-		hit, err := p.run(m, ji, client)
-		if err == nil {
-			err = client.Complete(ji, "", worker)
-		}
-		return hit, err
-	}
-	stats.Hits, err = m.runJobPool(mine, workers, progress, fmt.Sprintf("shard %d", shard), exec)
-	return stats, err
 }
 
 // WorkStats reports what a RunWork invocation did.
@@ -126,9 +88,9 @@ func heartbeatLease(client *objstore.Client, job int, lease, worker string, leas
 
 // RunWork is the work-stealing worker entry point: claim a job from
 // the daemon's queue, simulate it, push the result, complete the
-// claim, repeat until the queue reports the evaluation done. Shard
-// assignments in the manifest are ignored — scheduling is entirely
-// claim-order, so fast machines naturally take more jobs and a worker
+// claim, repeat until the queue reports the evaluation done.
+// Scheduling is entirely claim-order, so fast machines naturally take
+// more jobs and a worker
 // that dies mid-job only delays that job by one lease (the queue
 // requeues it on expiry). goroutines (0 = one per CPU) claim
 // independently, so a single process also steals work from itself.
@@ -254,14 +216,14 @@ func (m *Manifest) RunWork(client *objstore.Client, worker string, goroutines in
 // MergeServer returns the daemon's own fold as the merged result set:
 // one GET of the manifest's figure snapshot (GET /m/{fp}/figures). The
 // daemon's accumulator folds every completed entry with Merge's
-// arithmetic, so a complete snapshot is bit-identical to a
-// directory-transport merge and to a single-process run. The snapshot
+// arithmetic, so a complete snapshot is bit-identical to Merge's
+// re-fold of the daemon's store and to a single-process run. The snapshot
 // must cover every job and match this build's plan, or the merge fails
 // naming the incomplete or mismatched figures. The client must be
 // namespaced to the manifest (Client.ForManifest).
 //
-// Nothing is pulled, written or folded locally: mergedDir and pack are
-// unused by this transport.
+// Nothing is pulled, written or folded locally. mergedDir and pack are
+// ignored; they remain for existing callers.
 func (m *Manifest) MergeServer(mergedDir string, client *objstore.Client, pack bool, progress io.Writer) (*Results, error) {
 	if client.Fingerprint() == "" {
 		return nil, fmt.Errorf("sweep: server merge needs a client namespaced to the manifest (Client.ForManifest); an unbound one reads the daemon's default manifest")
@@ -289,7 +251,7 @@ func (m *Manifest) MergeServer(mergedDir string, client *objstore.Client, pack b
 				pending = append(pending, fmt.Sprintf("%s %d/%d cells", fc.Fig, fc.Covered, fc.Cells))
 			}
 		}
-		return nil, fmt.Errorf("sweep: merge incomplete, the daemon has folded %d of %d jobs (%s); run the missing work or shards against this daemon, then merge again",
+		return nil, fmt.Errorf("sweep: merge incomplete, the daemon has folded %d of %d jobs (%s); run workers against this daemon until the queue drains, then merge again",
 			cov.Done, cov.Jobs, strings.Join(pending, ", "))
 	}
 	if err := p.checkSnapshot(part.Results); err != nil {

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -13,23 +12,8 @@ import (
 // cell's baseline, and touch no other route. Claim polls the queue
 // answers with "wait" or "done" grant nothing and are not bounded.
 func TestRunWorkRequestBudget(t *testing.T) {
-	m := tinyMixedManifest(t, 1)
-	_, c, log := serveStore(t, m, nil, true)
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i := range errs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, errs[i] = m.RunWork(c, []string{"w0", "w1"}[i], 1, nil)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	m := tinyMixedManifest(t)
+	_, c, log := runTwoWorkers(t, m)
 
 	n, jobKeys, mitigated := len(m.Jobs), map[string]bool{}, 0
 	for _, j := range m.Jobs {

@@ -21,9 +21,11 @@
 #   machine-dependent wall times, so there is no regression threshold;
 #   the gate instead validates structure: the file is a JSON object of
 #   objects, every known section carries its required keys, and unknown
-#   sections are tolerated (a future e2e may add one). One check is
-#   host-independent and so does hold a threshold: the service
-#   section's store must keep fewer files than entries.
+#   sections are tolerated (a future e2e may add one). Two checks are
+#   host-independent and so do hold a threshold: the evaluation
+#   section must deduplicate (fewer jobs than the per-figure plans
+#   summed), and the service section's store must keep fewer files
+#   than entries.
 #
 # Usage: ./scripts/check_bench.sh BASELINE.json FRESH.json [tolerance]
 set -u
@@ -87,7 +89,7 @@ REQUIRED = {
     "evaluation": {"benchmark", "jobs_per_figure_sum", "jobs_deduplicated",
                    "dedupe_savings_frac", "merge_wall_seconds"},
     "work_stealing": {"benchmark", "jobs", "jobs_claimed_per_worker",
-                      "work_stealing_wall_seconds", "lpt_presharded_wall_seconds"},
+                      "work_stealing_wall_seconds"},
     "service": {"benchmark", "jobs", "jobs_recovered_on_restart",
                 "restart_recovery_wall_seconds", "cold_rerun_wall_seconds",
                 "heartbeats_total", "heartbeats_per_worker",
@@ -110,6 +112,13 @@ else:
         missing = REQUIRED.get(name, set()) - set(section)
         if missing:
             problems.append(f"section {name!r} lacks keys {sorted(missing)}")
+        elif (name == "evaluation" and
+              section["jobs_deduplicated"] >= section["jobs_per_figure_sum"]):
+            # Host-independent: one evaluation-wide plan shares every
+            # baseline and recurring config across figures.
+            problems.append(f"section 'evaluation': jobs_deduplicated "
+                            f"{section['jobs_deduplicated']} >= jobs_per_figure_sum "
+                            f"{section['jobs_per_figure_sum']} (nothing deduplicated)")
         elif name == "service" and section["store_files"] >= section["store_entries"]:
             # Host-independent: the store appends entries to a segment
             # per writer, so one file per entry means that form is back.
