@@ -207,8 +207,8 @@ func runWork(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("worker %s: claimed %d jobs (%d simulated, %d served from store) -> %s (manifest %.12s…)\n",
-		*name, stats.Claimed, stats.Simulated, stats.Hits, client.Base(), reg.Fingerprint)
+	fmt.Printf("worker %s: claimed %d jobs (%d simulated, %d derived, %d resumed, %d served from store) -> %s (manifest %.12s…)\n",
+		*name, stats.Claimed, stats.Simulated, stats.Derived, stats.Resumed, stats.Hits, client.Base(), reg.Fingerprint)
 	return nil
 }
 

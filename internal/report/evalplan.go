@@ -76,9 +76,9 @@ func (fp FigurePlan) PartialRows(results []*sim.Result) ([]PerfRow, error) {
 type EvaluationPlan struct {
 	// Figures holds one view per requested figure, in request order.
 	Figures []FigurePlan
-	// Cells is the deduplicated cell set in first-occurrence order
-	// (figures in request order, each figure's cells in its own
-	// MatrixPlan order).
+	// Cells is the deduplicated cell set: every baseline, then every
+	// mitigated cell, each in first-occurrence order (see
+	// PlanEvaluation).
 	Cells []MatrixCell
 	// Keys[i] is the content-addressed simulation key of Cells[i]
 	// (simcache.RunKey): the identity cells are deduplicated by, and the
@@ -107,25 +107,38 @@ func (p EvaluationPlan) TotalFigureCells() int {
 // exactly when no observable difference exists between their
 // simulations (same workload, full system configuration, and
 // normalized options — label spellings do not matter).
+//
+// Cells lists every figure's unprotected baselines first, then the
+// mitigated cells, each group in first-occurrence order (figures in
+// request order, each figure's cells in its own MatrixPlan order).
+// That is the order runMatrix claims a figure's cells in, and a sweep's
+// queue hands out jobs in Cells order, so a mitigated cell is claimed
+// after its baseline and can be derived or resumed from it.
 func (o PerfOptions) PlanEvaluation(figs []PerfFigure) EvaluationPlan {
 	eval := EvaluationPlan{Figures: make([]FigurePlan, len(figs))}
-	index := map[string]int{}
 	for fi, f := range figs {
 		plan := o.Plan(f.Configs)
-		fp := FigurePlan{Figure: f, Plan: plan, Cells: make([]int, len(plan.Cells))}
-		for ci, cell := range plan.Cells {
-			key := simcache.RunKey(cell.Workload, cell.System, plan.Sim)
-			ei, ok := index[key]
-			if !ok {
-				ei = len(eval.Cells)
-				index[key] = ei
-				eval.Cells = append(eval.Cells, cell)
-				eval.Keys = append(eval.Keys, key)
-			}
-			fp.Cells[ci] = ei
-		}
-		eval.Figures[fi] = fp
+		eval.Figures[fi] = FigurePlan{Figure: f, Plan: plan, Cells: make([]int, len(plan.Cells))}
 		eval.Sim = plan.Sim
+	}
+	index := map[string]int{}
+	for _, baselines := range []bool{true, false} {
+		for _, fp := range eval.Figures {
+			for ci, cell := range fp.Plan.Cells {
+				if (cell.Label == "") != baselines {
+					continue
+				}
+				key := simcache.RunKey(cell.Workload, cell.System, fp.Plan.Sim)
+				ei, ok := index[key]
+				if !ok {
+					ei = len(eval.Cells)
+					index[key] = ei
+					eval.Cells = append(eval.Cells, cell)
+					eval.Keys = append(eval.Keys, key)
+				}
+				fp.Cells[ci] = ei
+			}
+		}
 	}
 	return eval
 }

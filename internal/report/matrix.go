@@ -68,48 +68,51 @@ func CellCounts() CellStats {
 	}
 }
 
+// resolver resolves every matrix cell of the process (runCell). Its
+// memo keeps each baseline, with the tape its siblings resume from,
+// for the whole process, like runMemo.
+var resolver simcache.Resolver
+
 // ResetRunMemo drops every process-wide memoized cell result. It exists
 // for tests and benchmarks that need to model a fresh process — e.g. to
 // prove the persistent cache alone can serve a matrix, or to make every
 // timed iteration simulate — and has no place in normal use.
 func ResetRunMemo() {
 	runMemo = sync.Map{}
+	resolver = simcache.Resolver{}
 }
 
-// runCell returns the cell's result, simulating it at most once per
-// process even when many matrix jobs race for it. A mitigated cell
-// first resolves its workload's baseline (every matrix row needs it
-// anyway) and is derived from it, or resumed from one of its
-// checkpoints, when sim.Resume can. The persistent cache, when enabled,
-// additionally carries results across process invocations, resumed
-// ones included (simcache.ResumeCached).
+// runCell returns the cell's result, resolving it at most once per
+// process even when many matrix jobs race for it. It resolves the way
+// a sweep worker does (simcache.Resolver): a mitigated cell is derived
+// from its workload's baseline, or resumed from one of its checkpoints,
+// when sim.Resume can. The persistent cache, when enabled, additionally
+// carries every result across process invocations.
 func runCell(c MatrixCell, opt sim.Options, cache *simcache.Cache) (*sim.Result, error) {
 	key := runKey{workload: c.Workload.Name, sys: c.System, opt: opt.Normalized(c.System)}
 	e, _ := runMemo.LoadOrStore(key, &runEntry{})
 	entry := e.(*runEntry)
 	entry.once.Do(func() {
 		if sim.Derivable(c.System.Mitigation) {
+			// Resolve the baseline as a cell of its own first (every
+			// matrix row needs it anyway), so that it is counted once,
+			// whichever cell needs it first.
 			base := c
 			base.System.Mitigation = config.Mitigation{}
-			if rb, err := runCell(base, opt, cache); err == nil {
-				if r, ok := simcache.ResumeCached(cache, rb, c.Workload, c.System, opt); ok {
-					entry.res = r
-					if r.Resume.How == sim.ResumeRestart {
-						cellStats.resumed.Add(1)
-						cellStats.instructions.Add(r.Resume.Instructions)
-					} else {
-						cellStats.derived.Add(1)
-					}
-					return
-				}
-			}
+			runCell(base, opt, cache)
 		}
-		// A simulated baseline keeps a tape for its siblings' Resume.
-		var hit bool
-		entry.res, hit, entry.err = simcache.RunCachedTaped(cache, c.Workload, c.System, opt)
-		if entry.err == nil && !hit {
+		var how simcache.Resolution
+		entry.res, how, entry.err = resolver.Resolve(simcache.BestEffort(cache), c.Workload, c.System, opt)
+		switch {
+		case entry.err != nil:
+		case how == simcache.Simulated:
 			cellStats.simulated.Add(1)
 			cellStats.instructions.Add(entry.res.Instructions)
+		case how == simcache.Derived:
+			cellStats.derived.Add(1)
+		case how == simcache.Resumed:
+			cellStats.resumed.Add(1)
+			cellStats.instructions.Add(entry.res.Resume.Instructions)
 		}
 	})
 	return entry.res, entry.err

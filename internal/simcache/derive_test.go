@@ -9,44 +9,52 @@ import (
 	"repro/internal/sim"
 )
 
-// TestRunCachedStoreDerivesFromStoredBaseline checks the sweep job
-// runner's use of sim.Derive: a quiet mitigated cell is simulated while
-// its baseline is absent from the store (which never gains a
-// speculative baseline entry), and derived once the baseline entry is
-// there. The derived entry equals the simulation, host fields aside.
+// TestRunCachedStoreDerivesFromStoredBaseline checks how the resolver
+// a sweep job runs through uses sim.Derive: a quiet mitigated cell
+// whose baseline is absent from the store resolves and stores the
+// baseline first, and is derived from it. The baseline's entry equals
+// the one its own job stores, and the derived entry equals the
+// simulation, host fields aside.
 func TestRunCachedStoreDerivesFromStoredBaseline(t *testing.T) {
 	w, sys, opt := testWorkload(t), testSys(), testOpts()
 	base := baselineOf(sys)
-
-	cold, err := Open(t.TempDir())
+	simulated, err := sim.Run(w, sys, opt)
 	if err != nil {
 		t.Fatal(err)
-	}
-	simulated, _, err := RunCachedStore(cold, w, sys, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if simulated.Derived() {
-		t.Fatal("derived with no baseline in the store")
-	}
-	if hit, _ := cold.Get(RunKey(w, base, opt), &sim.Result{}); hit {
-		t.Error("the store gained a baseline entry nobody asked for")
 	}
 
 	c, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RunCachedStore(c, w, base, opt); err != nil {
+	var r Resolver
+	derived, how, err := r.Resolve(c, w, sys, opt)
+	if err != nil {
 		t.Fatal(err)
 	}
-	derived, hit, err := RunCachedStore(c, w, sys, opt)
-	if err != nil || hit {
-		t.Fatalf("RunCachedStore = (hit %v, err %v), want a derived miss", hit, err)
+	if how != Derived || !derived.Derived() {
+		t.Fatalf("resolved %v (kernel %q), want derived from the baseline", how, derived.Kernel)
 	}
-	if !derived.Derived() {
-		t.Fatalf("not derived from the stored baseline (kernel %q)", derived.Kernel)
+	var storedBase sim.Result
+	if hit, err := c.Get(RunKey(w, base, opt), &storedBase); err != nil || !hit {
+		t.Fatalf("the baseline resolved for the cell was not stored: (%v, %v)", hit, err)
 	}
+	own, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fresh Resolver
+	if _, how, err := fresh.Resolve(own, w, base, opt); err != nil || how != Simulated {
+		t.Fatalf("the baseline's own job resolved (%v, %v), want simulated", how, err)
+	}
+	var ownBase sim.Result
+	if hit, err := own.Get(RunKey(w, base, opt), &ownBase); err != nil || !hit {
+		t.Fatalf("the baseline's own job stored nothing: (%v, %v)", hit, err)
+	}
+	if !reflect.DeepEqual(stripHost(&storedBase), stripHost(&ownBase)) {
+		t.Errorf("the baseline stored for a sibling differs from its own job's entry:\nsibling's: %+v\nown:       %+v", storedBase, ownBase)
+	}
+
 	var stored sim.Result
 	if hit, err := c.Get(RunKey(w, sys, opt), &stored); err != nil || !hit {
 		t.Fatalf("derived result not stored: (%v, %v)", hit, err)

@@ -24,7 +24,7 @@ func MCKey(spec attack.TrialSpec, root uint64, batch, trials int) string {
 	return Key("attack.MonteCarlo", spec, root, batch, trials)
 }
 
-// RunMCBatch is the trial-batch analogue of RunCachedStore: a hit
+// RunMCBatch is the trial-batch analogue of Resolver.Resolve: a hit
 // returns the stored tally without running anything, a miss runs the
 // seeded batch and stores its tally (strict put — in a distributed
 // sweep the store is the delivery channel). Stored tallies pass the

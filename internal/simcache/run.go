@@ -27,20 +27,8 @@ func RunKey(w trace.Workload, sys config.System, opt sim.Options) string {
 // instrumentation fields (WallSeconds, SimIPS), which describe the
 // original run. A nil cache degenerates to plain sim.Run.
 func RunCached(c *Cache, w trace.Workload, sys config.System, opt sim.Options) (*sim.Result, bool, error) {
-	return runCached(c, w, sys, opt, sim.Run)
-}
-
-// RunCachedTaped is RunCached simulating with sim.RunTaped, for callers
-// that go on to resume the baseline's mitigated siblings in this
-// process (ResumeCached). A hit carries no tape.
-func RunCachedTaped(c *Cache, w trace.Workload, sys config.System, opt sim.Options) (*sim.Result, bool, error) {
-	return runCached(c, w, sys, opt, sim.RunTaped)
-}
-
-func runCached(c *Cache, w trace.Workload, sys config.System, opt sim.Options,
-	run func(trace.Workload, config.System, sim.Options) (*sim.Result, error)) (*sim.Result, bool, error) {
 	if c == nil {
-		res, err := run(w, sys, opt)
+		res, err := sim.Run(w, sys, opt)
 		return res, false, err
 	}
 	key := RunKey(w, sys, opt)
@@ -48,7 +36,7 @@ func runCached(c *Cache, w trace.Workload, sys config.System, opt sim.Options,
 	if hit, err := c.Get(key, &cached); err == nil && hit {
 		return &cached, true, nil
 	}
-	res, err := run(w, sys, opt)
+	res, err := sim.Run(w, sys, opt)
 	if err != nil {
 		return nil, false, err
 	}
@@ -58,24 +46,11 @@ func runCached(c *Cache, w trace.Workload, sys config.System, opt sim.Options,
 	return res, false, nil
 }
 
-// ResumeCached is sim.Resume of the mitigated run of w under sys from
-// its baseline rb that, unless Derive's bound built the result, also
-// stores it like RunCached: a later process loads rb from the cache,
-// without the tape Resume needs, and finds the cell there instead.
-func ResumeCached(c *Cache, rb *sim.Result, w trace.Workload, sys config.System, opt sim.Options) (*sim.Result, bool) {
-	r, ok := sim.Resume(rb, w, sys, opt)
-	if !ok || r.Resume.How == sim.ResumeBound || c == nil {
-		return r, ok
-	}
-	_ = c.Put(RunKey(w, sys, opt), r)
-	return r, ok
-}
-
 // NormalizedPerf mirrors sim.NormalizedPerf with both the unprotected
-// baseline and the mitigated run served through the cache. The
-// mitigated run is derived from the baseline, or resumed from one of
-// its checkpoints, when sim.Resume can, so the baseline comes first
-// whenever it is cheap (a cache hit) or parallel is false. A cached
+// baseline and the mitigated run served through the cache. When the
+// baseline is cached or parallel is false, the two are resolved in turn
+// by one Resolver, so the mitigated run is derived from the baseline,
+// or resumed from one of its checkpoints, when sim.Resume can. A cached
 // baseline carries no tape, so only Derive's bound or a stored
 // mitigated result can spare the simulation then. Otherwise, when
 // parallel is true, the two simulate concurrently: they share no state
@@ -85,22 +60,13 @@ func NormalizedPerf(c *Cache, w trace.Workload, sys config.System, opt sim.Optio
 	base := baselineOf(sys)
 	var rb, rm *sim.Result
 	var errB, errM error
-	if c != nil {
-		var cached sim.Result
-		if hit, err := c.Get(RunKey(w, base, opt), &cached); err == nil && hit {
-			rb = &cached
+	if !parallel || c.Has(RunKey(w, base, opt)) {
+		var r Resolver
+		s := BestEffort(c)
+		if rb, _, errB = r.Resolve(s, w, base, opt); errB == nil {
+			rm, _, errM = r.Resolve(s, w, sys, opt)
 		}
-	}
-	if rb == nil && !parallel {
-		rb, _, errB = RunCachedTaped(c, w, base, opt)
-	}
-	if rb != nil {
-		if d, ok := ResumeCached(c, rb, w, sys, opt); ok {
-			rm = d
-		} else {
-			rm, _, errM = RunCached(c, w, sys, opt)
-		}
-	} else if errB == nil {
+	} else {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)

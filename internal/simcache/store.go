@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/config"
 	"repro/internal/sim"
@@ -18,6 +19,12 @@ import (
 // speak content-addressed keys from the same SHA-256 scheme (RunKey,
 // MCKey), so a result produced against either store is bit-identical
 // wherever it is later read.
+//
+// It also defines Resolver, the one way a simulation cell becomes a
+// stored result: in-process figures (internal/report) resolve their
+// matrix cells with it against the local cache, and sweep workers
+// (internal/sweep) resolve their claimed jobs with it against the
+// daemon's store.
 
 // Store is a result store keyed by this package's content-addressed
 // scheme. *Cache (a local directory) and objstore.Client (a remote
@@ -32,48 +39,135 @@ type Store interface {
 	Put(key string, v any) error
 }
 
-// RunCachedStore is RunCached generalized over any Store, with two
-// differences. A failed Put is an error, not best-effort: the remote
-// store IS the delivery channel of a networked sweep — a worker whose
-// push fails must stop rather than complete jobs whose results nobody
-// can ever pull. And a mitigated cell whose baseline entry is already
-// in the store is derived from it when sim.Derive can prove the two
-// runs identical; the baseline itself is never simulated for that.
-func RunCachedStore(s Store, w trace.Workload, sys config.System, opt sim.Options) (*sim.Result, bool, error) {
-	if s == nil {
-		res, err := sim.Run(w, sys, opt)
-		return res, false, err
-	}
-	key := RunKey(w, sys, opt)
-	var cached sim.Result
-	if hit, err := s.Get(key, &cached); err == nil && hit {
-		return &cached, true, nil
-	}
-	res, ok := deriveFromStore(s, w, sys, opt)
-	if !ok {
-		var err error
-		if res, err = sim.Run(w, sys, opt); err != nil {
-			return nil, false, err
-		}
-	}
-	if err := s.Put(key, res); err != nil {
-		return nil, false, fmt.Errorf("simcache: store result for key %.12s…: %w", key, err)
-	}
-	return res, false, nil
+// BestEffort returns c as a Store whose Put never fails: a local cache
+// that cannot be written (a full disk, a read-only directory) must not
+// fail a successful simulation. A nil c misses every Get.
+func BestEffort(c *Cache) Store { return bestEffort{c} }
+
+type bestEffort struct{ *Cache }
+
+func (b bestEffort) Put(key string, v any) error {
+	_ = b.Cache.Put(key, v)
+	return nil
 }
 
-// deriveFromStore builds a mitigated cell's result from its baseline's
-// entry in s (sim.Derive), reporting false when the entry is absent or
-// does not prove the cell quiet. It reads the store only.
-func deriveFromStore(s Store, w trace.Workload, sys config.System, opt sim.Options) (*sim.Result, bool) {
+// Resolution says how Resolver.Resolve produced a result.
+type Resolution int
+
+const (
+	// Simulated: sim.Run ran the cell (sim.RunTaped for a baseline).
+	Simulated Resolution = iota
+	// Stored: the store already held the cell's entry.
+	Stored
+	// Derived: the cell is its baseline relabelled (sim.Resume by
+	// Derive's bound or by replaying the baseline's tape).
+	Derived
+	// Resumed: the event kernel restarted from one of the baseline's
+	// checkpoints (sim.Resume).
+	Resumed
+	// Memoized: an earlier or concurrent call of the same Resolver
+	// resolved this baseline; the result is that call's.
+	Memoized
+)
+
+// String names the resolution as progress output says it.
+func (r Resolution) String() string {
+	switch r {
+	case Simulated:
+		return "simulated"
+	case Stored:
+		return "from store"
+	case Derived:
+		return "derived"
+	case Resumed:
+		return "resumed"
+	case Memoized:
+		return "memoized"
+	}
+	return fmt.Sprintf("Resolution(%d)", int(r))
+}
+
+// Resolver resolves simulation cells against a Store. A cell already in
+// the store is read. An unprotected baseline is otherwise simulated
+// with sim.RunTaped, once per Resolver however many callers ask at once
+// (later callers wait and get Memoized), and the Resolver keeps it,
+// tape included, for as long as the Resolver lives. A mitigated cell
+// sim.Derivable covers is built from its baseline, which the Resolver
+// resolves first, by sim.Resume: Derive's bound, then a replay of the
+// baseline's tape, then a restart from one of its checkpoints. It is
+// simulated only when Resume refuses, e.g. because its baseline came
+// from the store without a tape. Every result, a baseline resolved for
+// a sibling included, is then Put under its RunKey; a failed Put is an
+// error (wrap a local cache in BestEffort to ignore it).
+//
+// The memo trusts that a baseline it resolved is in the store. Where
+// every result must land in the store, as a sweep's must, scope a
+// Resolver to that store: a sweep worker holds one per call, not one
+// per process. The zero Resolver is ready to use.
+type Resolver struct {
+	baselines sync.Map // RunKey -> *flight
+}
+
+type flight struct {
+	once sync.Once
+	res  *sim.Result
+	err  error
+}
+
+// Resolve returns the result of sim.Run(w, sys, opt), resolved from s
+// as the Resolver doc says, and how it was resolved. Results are
+// deterministic functions of their inputs, so the result is Run's
+// whichever way it was resolved, host instrumentation aside.
+func (r *Resolver) Resolve(s Store, w trace.Workload, sys config.System, opt sim.Options) (*sim.Result, Resolution, error) {
+	key := RunKey(w, sys, opt)
+	if sys != baselineOf(sys) {
+		return r.resolve(s, key, w, sys, opt)
+	}
+	v, _ := r.baselines.LoadOrStore(key, &flight{})
+	f := v.(*flight)
+	how := Memoized
+	f.once.Do(func() { f.res, how, f.err = r.resolve(s, key, w, sys, opt) })
+	return f.res, how, f.err
+}
+
+func (r *Resolver) resolve(s Store, key string, w trace.Workload, sys config.System, opt sim.Options) (*sim.Result, Resolution, error) {
+	var stored sim.Result
+	if hit, err := s.Get(key, &stored); err == nil && hit {
+		return &stored, Stored, nil
+	}
+	res, how := r.resume(s, w, sys, opt)
+	if res == nil {
+		// RunTaped tapes only an unprotected baseline.
+		var err error
+		if res, err = sim.RunTaped(w, sys, opt); err != nil {
+			return nil, Simulated, err
+		}
+		how = Simulated
+	}
+	if err := s.Put(key, res); err != nil {
+		return nil, how, fmt.Errorf("simcache: store result for key %.12s…: %w", key, err)
+	}
+	return res, how, nil
+}
+
+// resume builds a mitigated cell from its baseline by sim.Resume,
+// resolving the baseline first, or returns nil when it cannot.
+func (r *Resolver) resume(s Store, w trace.Workload, sys config.System, opt sim.Options) (*sim.Result, Resolution) {
 	if !sim.Derivable(sys.Mitigation) {
-		return nil, false
+		return nil, Simulated
 	}
-	var rb sim.Result
-	if hit, err := s.Get(RunKey(w, baselineOf(sys), opt), &rb); err != nil || !hit {
-		return nil, false
+	rb, _, err := r.Resolve(s, w, baselineOf(sys), opt)
+	if err != nil {
+		return nil, Simulated
 	}
-	return sim.Derive(&rb, sys, opt)
+	res, ok := sim.Resume(rb, w, sys, opt)
+	switch {
+	case !ok:
+		return nil, Simulated
+	case res.Resume.How == sim.ResumeRestart:
+		return res, Resumed
+	}
+	return res, Derived
 }
 
 // baselineOf returns sys unprotected: the system a cell normalizes

@@ -157,10 +157,11 @@ func TestAccumulatorPartialSnapshots(t *testing.T) {
 		t.Error("closed-form t4 missing from the empty snapshot")
 	}
 
-	// Fold exactly workload 0's cells (baseline + each label): its row
-	// renders; the other workloads' rows do not.
+	// Fold exactly workload 0's cells (baseline + each label, found
+	// through the fan-out): its row renders; the other workloads' rows
+	// do not.
 	stride := len(m.Figures[0].Labels) + 1
-	for ji := 0; ji < stride; ji++ {
+	for _, ji := range m.Figures[0].Cells[:stride] {
 		if folded, err := acc.FoldJob(ji, store); err != nil || !folded {
 			t.Fatalf("fold sim job %d = (%v, %v)", ji, folded, err)
 		}

@@ -828,8 +828,15 @@ func TestServerSweepWarmStoreDifferential(t *testing.T) {
 	url1, daemon1 := startCachedCmd(t, cachedBin,
 		"-manifest", manifest, "-store-dir", store, "-addr", "127.0.0.1:0")
 	firstOut := run("work", "-server", url1, "-name", "first", "-manifest", manifest)
-	if !strings.Contains(firstOut, fmt.Sprintf("claimed %d jobs (%d simulated", jobs, jobs)) {
-		t.Fatalf("first run did not simulate all %d jobs: %s", jobs, firstOut)
+	var claimed, simulated, derived, resumed, hits int
+	if _, line, ok := strings.Cut(firstOut, "claimed "); !ok {
+		t.Fatalf("first run printed no summary: %s", firstOut)
+	} else if _, err := fmt.Sscanf(line, "%d jobs (%d simulated, %d derived, %d resumed, %d served from store)",
+		&claimed, &simulated, &derived, &resumed, &hits); err != nil {
+		t.Fatalf("first run's summary does not parse (%v): %s", err, firstOut)
+	}
+	if claimed != jobs || simulated+derived+resumed != jobs || hits != 0 {
+		t.Fatalf("first run did not resolve all %d jobs without the store: %s", jobs, firstOut)
 	}
 	daemon1.Process.Kill()
 	daemon1.Wait()

@@ -8,8 +8,11 @@
 // that several figures share (every figure's unprotected baseline,
 // recurring mitigation configs). A rowswap-cached daemon
 // (internal/objstore) serves the deduplicated set as a work-stealing
-// queue; worker processes claim jobs, simulate them, and push each
-// result to the daemon's store (RunWork); the daemon folds every
+// queue in manifest order, every unprotected baseline first; worker
+// processes claim jobs, resolve them the way in-process figures do
+// (simcache.Resolver: a mitigated cell is derived or resumed from its
+// baseline when it can be), and push each result to the daemon's store
+// (RunWork); the daemon folds every
 // completed entry into each covered figure's rows as it lands, and
 // MergeServer reads that fold back. Because every job is keyed with
 // internal/simcache's SHA-256 scheme — workload, system, normalized
@@ -72,11 +75,13 @@ const (
 const StrategyRoundRobin = "round-robin"
 
 // Job is one deduplicated cell of the evaluation: a (workload, system)
-// simulation identified by its content-addressed cache key. Jobs appear
-// in first-occurrence order (figures in manifest order, each figure's
-// cells in its matrix order); a job shared by several figures — every
-// baseline, any config recurring across figures — appears exactly once,
-// with Workload and Label taken from its first occurrence.
+// simulation identified by its content-addressed cache key. Simulation
+// jobs appear in report.PerfOptions.PlanEvaluation's order: every
+// baseline, then every mitigated cell, each in first-occurrence order
+// (figures in manifest order, each figure's cells in its matrix order).
+// A job shared by several figures — every baseline, any config
+// recurring across figures — appears exactly once, with Workload and
+// Label taken from its first occurrence.
 type Job struct {
 	// Kind is the job kind: JobKindSim (or "", its usual spelling) or
 	// JobKindMC.
@@ -535,19 +540,24 @@ type plan struct {
 }
 
 // run executes manifest job ji against the store: a simulation for
-// JobKindSim, a seeded trial batch for JobKindMC. Both are cached,
-// idempotent, and deterministic — the job-kind dispatch is the only
-// difference between the pipeline's two implementations.
-func (p plan) run(m *Manifest, ji int, s simcache.Store) (bool, error) {
+// JobKindSim, resolved by r (so a mitigated cell is derived or resumed
+// from its baseline when it can be), a seeded trial batch for
+// JobKindMC. Both are cached, idempotent, and deterministic — the
+// job-kind dispatch is the only difference between the pipeline's two
+// implementations. r must serve only s (see simcache.Resolver).
+func (p plan) run(m *Manifest, ji int, s simcache.Store, r *simcache.Resolver) (simcache.Resolution, error) {
 	j := m.Jobs[ji]
 	if j.kind() == JobKindMC {
 		root := report.SecurityCellSeed(m.Security.Seed, j.MC.Cell)
 		_, hit, err := simcache.RunMCBatch(s, p.sec.Cells[j.MC.Cell].Spec, root, j.MC.Batch, j.MC.Trials)
-		return hit, err
+		if hit {
+			return simcache.Stored, err
+		}
+		return simcache.Simulated, err
 	}
 	cell := p.eval.Cells[ji]
-	_, hit, err := simcache.RunCachedStore(s, cell.Workload, cell.System, p.eval.Sim)
-	return hit, err
+	_, how, err := r.Resolve(s, cell.Workload, cell.System, p.eval.Sim)
+	return how, err
 }
 
 // expand re-derives the plans behind the manifest and verifies the
@@ -602,7 +612,7 @@ func (m *Manifest) derivePlans(checkKeys bool) (plan, error) {
 			return plan{}, fmt.Errorf("sweep: job %d (%s) is a %s job inside the simulation block; simulation jobs come first — re-run plan", i, j.desc(), j.kind())
 		}
 		if j.Workload != cell.Workload.Name || j.Label != cell.Label {
-			return plan{}, fmt.Errorf("sweep: job %d is (%s, %q) but the evaluation expands to (%s, %q)",
+			return plan{}, fmt.Errorf("sweep: job %d is (%s, %q) but the evaluation expands to (%s, %q); the manifest lists its jobs in another order, re-run plan with this build",
 				i, j.Workload, j.Label, cell.Workload.Name, cell.Label)
 		}
 		if checkKeys && j.Key != p.eval.Keys[i] {

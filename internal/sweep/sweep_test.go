@@ -82,8 +82,9 @@ func fillStore(t *testing.T, m *Manifest, dir string, jobs []int) *simcache.Cach
 			jobs[i] = i
 		}
 	}
+	var r simcache.Resolver
 	for _, ji := range jobs {
-		if _, err := p.run(m, ji, store); err != nil {
+		if _, err := p.run(m, ji, store, &r); err != nil {
 			t.Fatalf("%s: %v", m.Jobs[ji].desc(), err)
 		}
 	}
@@ -134,20 +135,35 @@ func mergeBothWays(t *testing.T, m *Manifest, store string, c *objstore.Client) 
 	return got
 }
 
+// TestPlanIsDeterministic pins a single figure's job order: every
+// baseline first, in workload order, then each workload's mitigated
+// cells in label order, which is the order the queue hands them out.
 func TestPlanIsDeterministic(t *testing.T) {
 	a := mustPlan(t)
 	b := mustPlan(t)
 	if !reflect.DeepEqual(a, b) {
 		t.Error("two plans of the same sweep differ")
 	}
-	// 3 workloads x (baseline + rrs + scale-srs) in matrix order; a
-	// single figure has no duplicate cells, so nothing dedupes away.
+	// 3 workloads x (baseline + rrs + scale-srs); a single figure has
+	// no duplicate cells, so nothing dedupes away.
 	if len(a.Jobs) != 9 {
 		t.Fatalf("planned %d jobs, want 9", len(a.Jobs))
 	}
-	if a.Jobs[0].Workload != "gcc" || a.Jobs[0].Label != "" ||
-		a.Jobs[1].Label != "rrs" || a.Jobs[2].Label != "scale-srs" {
-		t.Errorf("matrix order broken: %+v", a.Jobs[:3])
+	labels := a.Figures[0].Labels
+	var want []Job
+	for _, w := range a.Workloads {
+		want = append(want, Job{Workload: w})
+	}
+	for _, w := range a.Workloads {
+		for _, l := range labels {
+			want = append(want, Job{Workload: w, Label: l})
+		}
+	}
+	for ji, j := range a.Jobs {
+		if j.Workload != want[ji].Workload || j.Label != want[ji].Label {
+			t.Errorf("job %d is (%s, %q), want (%s, %q): baselines first, then mitigated cells",
+				ji, j.Workload, j.Label, want[ji].Workload, want[ji].Label)
+		}
 	}
 	seen := map[string]bool{}
 	for _, j := range a.Jobs {
@@ -159,10 +175,17 @@ func TestPlanIsDeterministic(t *testing.T) {
 	if len(a.Figures) != 1 || a.Figures[0].Fig != "14" {
 		t.Fatalf("single-figure plan carries figures %+v", a.Figures)
 	}
-	// A single figure's fan-out is the identity map.
+	// The fan-out maps each figure cell (workload-major: baseline, then
+	// each label) to its job.
+	stride := len(labels) + 1
 	for ci, ji := range a.Figures[0].Cells {
-		if ci != ji {
-			t.Fatalf("single-figure fan-out is not the identity: cell %d -> job %d", ci, ji)
+		wi, li := ci/stride, ci%stride-1
+		wantJob := wi
+		if li >= 0 {
+			wantJob = len(a.Workloads) + wi*len(labels) + li
+		}
+		if ji != wantJob {
+			t.Errorf("figure cell %d (workload %d) fans out to job %d, want %d", ci, wi, ji, wantJob)
 		}
 	}
 	if err := a.Validate(); err != nil {
@@ -356,6 +379,61 @@ func TestExpandRejectsTamperedManifest(t *testing.T) {
 	}
 }
 
+// TestRejectsFirstOccurrenceJobOrder feeds Validate and NewAccumulator
+// a two-workload manifest whose jobs are in first-occurrence order,
+// each figure's cells in matrix order, as builds that did not claim
+// baselines first planned it. Its keys and fan-out are consistent, so
+// only the job order is wrong: both refuse it and say to re-plan.
+func TestRejectsFirstOccurrenceJobOrder(t *testing.T) {
+	opt := quickOpts()
+	opt.Workloads = []string{"gcc", "mcf"}
+	m, err := PlanEvaluation([]string{"4", "14"}, opt, PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []int
+	seen := map[int]bool{}
+	for _, f := range m.Figures {
+		for _, ji := range f.Cells {
+			if !seen[ji] {
+				seen[ji] = true
+				order = append(order, ji)
+			}
+		}
+	}
+	if len(order) != len(m.Jobs) {
+		t.Fatalf("the figures reference %d of %d jobs", len(order), len(m.Jobs))
+	}
+	old := *m
+	old.Jobs = make([]Job, len(order))
+	at := make([]int, len(order))
+	for oi, ji := range order {
+		old.Jobs[oi] = m.Jobs[ji]
+		at[ji] = oi
+	}
+	old.Figures = make([]Figure, len(m.Figures))
+	for fi, f := range m.Figures {
+		f.Cells = make([]int, len(f.Cells))
+		for ci, ji := range m.Figures[fi].Cells {
+			f.Cells[ci] = at[ji]
+		}
+		old.Figures[fi] = f
+	}
+	if reflect.DeepEqual(old.Jobs, m.Jobs) {
+		t.Fatal("first-occurrence order equals the planned order; the test proves nothing")
+	}
+	if err := old.ValidateStructure(); err != nil {
+		t.Fatalf("the reordered manifest is not self-consistent: %v", err)
+	}
+	const want = "re-run plan with this build"
+	if err := old.Validate(); err == nil || !strings.HasSuffix(err.Error(), want) {
+		t.Errorf("Validate = %v, want an error ending %q", err, want)
+	}
+	if _, err := old.NewAccumulator(); err == nil || !strings.HasSuffix(err.Error(), want) {
+		t.Errorf("NewAccumulator = %v, want an error ending %q", err, want)
+	}
+}
+
 // TestShardedSweepMatchesInProcessMatrix is the in-process half of the
 // determinism contract (the process-boundary half is the end-to-end
 // test): two work-stealing workers draining the queue of a loopback
@@ -379,6 +457,22 @@ func TestShardedSweepMatchesInProcessMatrix(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, rows) {
 		t.Errorf("work-stealing rows differ from in-process rows:\nwant: %+v\ngot:  %+v", want, rows)
+	}
+
+	// One worker's two goroutines share one Resolver, so whatever the
+	// timing, the hot cells resume from their baselines' tapes: the
+	// oracle must cover resumed cells too.
+	store, c, _ = serveStore(t, m, []int{}, true)
+	stats, err := m.RunWork(c, "solo", 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Resumed == 0 {
+		t.Fatalf("no cell was resumed from its baseline (%+v); the oracle does not exercise sim.Resume", stats)
+	}
+	rows, _ = mergeBothWays(t, m, store, c).FigureRows("14")
+	if !reflect.DeepEqual(want, rows) {
+		t.Errorf("rows with resumed cells differ from in-process rows:\nwant: %+v\ngot:  %+v", want, rows)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/objstore"
+	"repro/internal/simcache"
 )
 
 // This file is the networked side of the sweep: work-stealing workers
@@ -32,13 +33,16 @@ func (m *Manifest) QueueJobs() []objstore.QueueJob {
 	return jobs
 }
 
-// WorkStats reports what a RunWork invocation did.
+// WorkStats reports what a RunWork invocation did. Every claimed job
+// counts in exactly one of Simulated, Derived, Resumed and Hits.
 type WorkStats struct {
-	// Claimed is how many queue jobs this worker won; Simulated how
-	// many it actually ran; Hits how many were already in the store
-	// (pushed by an earlier run, or by a worker that lost its lease
-	// after doing the work).
-	Claimed, Simulated, Hits int
+	// Claimed is how many queue jobs this worker won. Simulated is how
+	// many it ran in full: simulations and trial batches. Derived and
+	// Resumed count the mitigated cells built from their baseline, as
+	// report.CellStats counts them. Hits is how many were already in
+	// the store (pushed by an earlier run, or by a worker that lost its
+	// lease after doing the work) or already resolved by this call.
+	Claimed, Simulated, Derived, Resumed, Hits int
 }
 
 // Claim-poll backoff bounds. A worker that finds every remaining job
@@ -95,6 +99,15 @@ func heartbeatLease(client *objstore.Client, job int, lease, worker string, leas
 // requeues it on expiry). goroutines (0 = one per CPU) claim
 // independently, so a single process also steals work from itself.
 //
+// The queue hands out jobs in manifest order, every baseline first, so
+// a mitigated cell is claimed after its baseline. The call's goroutines
+// share one simcache.Resolver, held until RunWork returns: a cell
+// whose baseline this process resolved is derived or resumed from it,
+// and one whose baseline is still running here waits for it (the
+// heartbeat keeps its lease alive meanwhile). A baseline another worker
+// holds is read from the store without a tape, or resolved here too
+// when the store lacks it.
+//
 // The manifest must still expand under this binary (same build as the
 // planner): the claim's content-addressed key is verified against the
 // manifest before anything runs, so a queue that does not match the
@@ -116,10 +129,10 @@ func (m *Manifest) RunWork(client *objstore.Client, worker string, goroutines in
 	}
 	progress = syncProgress(progress)
 	var (
-		mu                       sync.Mutex
-		firstE                   error
-		wg                       sync.WaitGroup
-		claimed, simulated, hits int
+		mu       sync.Mutex
+		firstE   error
+		wg       sync.WaitGroup
+		resolver simcache.Resolver
 	)
 	fail := func(err error) bool {
 		mu.Lock()
@@ -176,7 +189,7 @@ func (m *Manifest) RunWork(client *objstore.Client, worker string, goroutines in
 					defer close(hbDone)
 					heartbeatLease(client, claim.Job, claim.Lease, worker, claim.LeaseSeconds, stopHB)
 				}()
-				hit, err := p.run(m, claim.Job, client)
+				how, err := p.run(m, claim.Job, client, &resolver)
 				close(stopHB)
 				<-hbDone
 				if err != nil {
@@ -188,29 +201,26 @@ func (m *Manifest) RunWork(client *objstore.Client, worker string, goroutines in
 					return
 				}
 				mu.Lock()
-				claimed++
-				if hit {
-					hits++
-				} else {
-					simulated++
+				stats.Claimed++
+				switch how {
+				case simcache.Simulated:
+					stats.Simulated++
+				case simcache.Derived:
+					stats.Derived++
+				case simcache.Resumed:
+					stats.Resumed++
+				default:
+					stats.Hits++
 				}
 				mu.Unlock()
 				if progress != nil {
-					state := "simulated"
-					if hit {
-						state = "from store"
-					}
-					fmt.Fprintf(progress, "  %s: %-30s %s\n", worker, m.Jobs[claim.Job].desc(), state)
+					fmt.Fprintf(progress, "  %s: %-30s %s\n", worker, m.Jobs[claim.Job].desc(), how)
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	stats = WorkStats{Claimed: claimed, Simulated: simulated, Hits: hits}
-	if firstE != nil {
-		return stats, firstE
-	}
-	return stats, nil
+	return stats, firstE
 }
 
 // MergeServer returns the daemon's own fold as the merged result set:
