@@ -438,6 +438,9 @@ func writeKernelBench() {
 		"resumed_runs":              event.Resumed,
 		"hot_path":                  measureHotPaths(),
 	}
+	streams := measureStreamCache()
+	payload["stream_cache_bytes"] = streams.Bytes
+	payload["stream_record_bytes"] = streams.Bytes / streams.Records
 	if kernelBench.serialEventSecs > 0 {
 		payload["serial_event_seconds"] = kernelBench.serialEventSecs
 		payload["approx_sim_ips_serial"] = matrixInstructions / kernelBench.serialEventSecs
@@ -463,6 +466,19 @@ func writeKernelBench() {
 		return
 	}
 	os.WriteFile("BENCH_kernel.json", append(data, '\n'), 0o644)
+}
+
+// measureStreamCache empties the stream cache and the run memo, resolves
+// the quick matrix once, and reports what the cache then holds: the
+// memory its streams take, independent of the host (check_bench.sh
+// gates it).
+func measureStreamCache() trace.StreamCacheStats {
+	report.ResetRunMemo()
+	trace.ResetStreamCache()
+	if _, err := report.Fig14(io.Discard, quickMatrixOpts(kernelBench.workers, sim.KernelEvent)); err != nil {
+		panic(err)
+	}
+	return trace.CacheStats()
 }
 
 // measureRegimeBreakdown reruns the quick matrix's 24 mitigated cells

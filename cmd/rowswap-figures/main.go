@@ -47,6 +47,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/simcache"
 	"repro/internal/sweep"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -59,7 +60,7 @@ func main() {
 	cores := flag.Int("cores", 8, "simulated cores")
 	mcIters := flag.Int("mc", 200, "Monte-Carlo iterations for Fig. 6 (0 disables)")
 	workers := flag.Int("workers", 0, "simulation worker pool size for performance figures (0 = all CPUs, 1 = serial)")
-	progress := flag.Bool("progress", false, "print per-workload progress for performance figures")
+	progress := flag.Bool("progress", false, "print per-workload progress for performance figures, then the cell mix and stream-cache counts")
 	cacheDir := flag.String("cache-dir", simcache.DefaultDir(), "persistent simulation-result cache directory")
 	noCache := flag.Bool("no-cache", false, "disable the persistent result cache")
 	follow := flag.Bool("follow", false, "tail a rowswap-cached daemon (-server): re-render covered figures as results stream in, print the final render to stdout when coverage completes")
@@ -169,9 +170,14 @@ func main() {
 		for _, id := range []string{"t1", "1a", "6", "7", "10", "13", "t4", "t5", "disc", "4", "12", "14", "15", "16", "cmp"} {
 			run(id)
 		}
-		return
+	} else {
+		run(*fig)
 	}
-	run(*fig)
+	if *progress {
+		cells, streams := report.CellCounts(), trace.CacheStats()
+		fmt.Fprintf(os.Stderr, "cells: %d simulated, %d derived, %d resumed; stream cache: %.1f MiB in %d streams, %d readers fell back\n",
+			cells.Simulated, cells.Derived, cells.Resumed, float64(streams.Bytes)/(1<<20), streams.Streams, streams.Fallbacks)
+	}
 }
 
 // followPollWait is the long-poll window for one events request. It

@@ -85,9 +85,9 @@ func FromConfig(t config.Timing, clockGHz float64) Timing {
 // activation counters for the current refresh window, and the identity
 // (logical row) of the data currently stored in each physical slot.
 //
-// Bank state is structure-of-arrays: the counters and permutation maps
-// of all banks in a rank live in one contiguous rankState (see below),
-// and each Bank holds subslices of its segment. The counters are read
+// Bank counter state is structure-of-arrays: the counters of all banks
+// in a rank live in one contiguous rankState (see below), and each Bank
+// holds a subslice of it. The counters are read
 // only at window ends (and by tests and tools), so recordACT does not
 // touch them: it appends the slot to a short pending log, and settle
 // folds the log into the counters before any read. An activated slot
@@ -126,23 +126,17 @@ type Bank struct {
 	bankIdx int // index within the owning rankState
 	state   *rankState
 
-	// content[slot] is the logical row whose data currently occupies the
-	// physical slot; location[logical] is the inverse permutation. Both
-	// are nil while the mapping is the identity — only banks that a swap
-	// mitigation actually touches pay for materializing them (subslices
-	// of the rank-level arrays, allocated on the rank's first swap).
-	// displaced counts the slots whose content differs from the identity
-	// (maintained by SwapContents); permDirty lists every slot whose
-	// content ever left its home this run (appended by SwapContents,
-	// duplicates allowed). Together they let recycle restore a displaced
-	// segment to the identity by repairing only the dirty slots — a few
-	// hundred writes — instead of leaving the next materialize to refill
-	// all 128K entries.
-	content           []RowID
-	location          []RowID
-	displaced         int
-	permDirty         []RowID
-	permDirtyOverflow bool
+	// content maps each displaced physical slot to the logical row whose
+	// data occupies it, and location maps each displaced logical row to
+	// the slot holding it: the row permutation stored sparsely, with
+	// every row absent from both in its home slot. A swap mitigation
+	// displaces a few rows of a 128K-row bank at a time, and a run's
+	// place-backs return them, so the maps stay small and are nil until
+	// the bank's first swap. SwapContents deletes an entry as its row
+	// returns home. Only VerifyPermutation ranges over them; results
+	// never depend on map order.
+	content  map[RowID]RowID
+	location map[RowID]RowID
 
 	// Statistics (cumulative, never reset).
 	TotalACTs    uint64
@@ -153,31 +147,21 @@ type Bank struct {
 }
 
 // rankState is the contiguous backing store for all banks of one rank:
-// packed epoch-stamped activation counters, the (lazily allocated)
-// content/location permutation arrays, and the carried-over bookkeeping
-// that lets the whole block be pooled across Memory instances with zero
-// clearing cost. It exists purely as storage — all behaviour stays on
-// Bank, which operates on its own segment.
+// packed epoch-stamped activation counters and the carried-over
+// bookkeeping that lets the whole block be pooled across Memory
+// instances with zero clearing cost. It exists purely as storage — all
+// behaviour stays on Bank, which operates on its own segment.
 type rankState struct {
 	banks, rows int
 	slots       []uint32 // banks*rows packed epoch<<24|count entries
 
-	// content/location are nil until the first swap anywhere in the
-	// rank. permIdentity[b] records whether bank b's segment currently
-	// holds the identity permutation (so a reused segment skips the
-	// identity refill); it is only meaningful once the arrays exist.
-	content      []RowID
-	location     []RowID
-	permIdentity []bool
-
 	// Carried across pooling: the high-water epoch per bank (a reused
 	// state resumes each bank above every stamp its segment contains)
-	// and the touched-/pending-/dirty-list backings (capacity retained,
+	// and the touched- and pending-list backings (capacity retained,
 	// length zero).
 	bankEpoch []uint32
 	touched   [][]RowID
 	pending   [][]RowID
-	permDirty [][]RowID
 
 	// groupSums is MaxGroupACT's per-group scratch, shared by the
 	// rank's banks (one sweep at a time) and all zero between sweeps.
@@ -201,7 +185,6 @@ func takeRankState(banks, rows int) *rankState {
 		bankEpoch: make([]uint32, banks),
 		touched:   make([][]RowID, banks),
 		pending:   make([][]RowID, banks),
-		permDirty: make([][]RowID, banks),
 	}
 }
 
@@ -210,15 +193,14 @@ func takeRankState(banks, rows int) *rankState {
 // owner left behind reads as zero.
 func bankFromState(st *rankState, idx int) *Bank {
 	b := &Bank{
-		rows:      st.rows,
-		openRow:   -1,
-		slots:     st.slots[idx*st.rows : (idx+1)*st.rows],
-		touched:   st.touched[idx],
-		pending:   st.pending[idx],
-		permDirty: st.permDirty[idx],
-		epoch:     st.bankEpoch[idx] + 1,
-		bankIdx:   idx,
-		state:     st,
+		rows:    st.rows,
+		openRow: -1,
+		slots:   st.slots[idx*st.rows : (idx+1)*st.rows],
+		touched: st.touched[idx],
+		pending: st.pending[idx],
+		epoch:   st.bankEpoch[idx] + 1,
+		bankIdx: idx,
+		state:   st,
 	}
 	if b.epoch == epochLimit { // stamp space exhausted: clear and restart
 		clearSlots(b.slots)
@@ -235,63 +217,23 @@ func newBank(rows int) *Bank {
 }
 
 // recycle detaches the bank from its rankState, recording the
-// high-water epoch (so the next owner of the segment resumes above it),
-// the touched and pending backings (capacity kept, length zeroed), and
-// whether the permutation segment is back to the identity (the usual
-// end state: place-back unwinds every swap). The bank must not be used
-// afterwards; Memory.Recycle pools the rankState itself once every bank
-// detached.
+// high-water epoch (so the next owner of the segment resumes above it)
+// and the touched and pending backings (capacity kept, length zeroed).
+// The permutation maps stay with the bank, so the next owner starts at
+// the identity. The bank must not be used afterwards; Memory.Recycle
+// pools the rankState itself once every bank detached.
 func (b *Bank) recycle() {
 	b.settle()
 	st := b.state
 	st.bankEpoch[b.bankIdx] = b.epoch
 	st.touched[b.bankIdx] = b.touched[:0]
 	st.pending[b.bankIdx] = b.pending[:0]
-	if b.content != nil {
-		if b.displaced > 0 && !b.permDirtyOverflow {
-			// Restore the segment to the identity by repairing only the
-			// entries swaps ever moved: O(swaps this run), vs a full
-			// 2x128K-entry refill on the segment's next materialize.
-			for _, s := range b.permDirty {
-				b.content[s] = s
-				b.location[s] = s
-			}
-			b.displaced = 0
-		}
-		st.permIdentity[b.bankIdx] = b.displaced == 0
-	}
-	st.permDirty[b.bankIdx] = b.permDirty[:0]
-	b.slots, b.touched, b.pending, b.permDirty, b.content, b.location, b.state = nil, nil, nil, nil, nil, nil, nil
+	b.slots, b.touched, b.pending, b.content, b.location, b.state = nil, nil, nil, nil, nil, nil
 }
 
 func clearSlots(s []uint32) {
 	for i := range s {
 		s[i] = 0
-	}
-}
-
-// materialize attaches the bank's content/location permutation segments,
-// which are implicitly the identity until the first swap. The rank-level
-// arrays are allocated on the rank's first swap; a segment is refilled
-// with the identity only if a previous owner left it displaced.
-func (b *Bank) materialize() {
-	if b.content != nil {
-		return
-	}
-	st := b.state
-	if st.content == nil {
-		st.content = make([]RowID, st.banks*st.rows)
-		st.location = make([]RowID, st.banks*st.rows)
-		st.permIdentity = make([]bool, st.banks)
-	}
-	b.content = st.content[b.bankIdx*st.rows : (b.bankIdx+1)*st.rows]
-	b.location = st.location[b.bankIdx*st.rows : (b.bankIdx+1)*st.rows]
-	if !st.permIdentity[b.bankIdx] {
-		for i := 0; i < st.rows; i++ {
-			b.content[i] = RowID(i)
-			b.location[i] = RowID(i)
-		}
-		st.permIdentity[b.bankIdx] = true
 	}
 }
 
@@ -359,18 +301,18 @@ func (b *Bank) MaxGroupACT(groupRows int) uint32 {
 
 // ContentAt returns the logical row stored in a physical slot.
 func (b *Bank) ContentAt(slot RowID) RowID {
-	if b.content == nil {
-		return slot
+	if logical, ok := b.content[slot]; ok {
+		return logical
 	}
-	return b.content[slot]
+	return slot
 }
 
 // LocationOf returns the physical slot storing a logical row's data.
 func (b *Bank) LocationOf(logical RowID) RowID {
-	if b.location == nil {
-		return logical
+	if slot, ok := b.location[logical]; ok {
+		return slot
 	}
-	return b.location[logical]
+	return logical
 }
 
 // Activate opens the physical slot, enforcing tRC and any busy period.
@@ -504,50 +446,49 @@ func (b *Bank) NextACT() Cycles { return b.nextACT }
 // mitigation layer issues the explicit Activate sequence so that latent
 // activations are modelled faithfully.
 func (b *Bank) SwapContents(slotA, slotB RowID) {
-	b.materialize()
-	la, lb := b.content[slotA], b.content[slotB]
-	before := displacedOf(slotA, la) + displacedOf(slotB, lb)
-	b.content[slotA], b.content[slotB] = lb, la
-	b.location[la], b.location[lb] = slotB, slotA
-	b.displaced += displacedOf(slotA, lb) + displacedOf(slotB, la) - before
-	// Record every permutation entry this swap wrote (content at the two
-	// slots, location at the two logical rows) so recycle can repair the
-	// segment back to the identity without a full sweep. The cap bounds
-	// pathological swap volumes: past it, repair falls back to a refill.
-	if len(b.permDirty)+4 <= b.rows {
-		b.permDirty = append(b.permDirty, slotA, slotB, la, lb)
-	} else {
-		b.permDirtyOverflow = true
-	}
+	la, lb := b.ContentAt(slotA), b.ContentAt(slotB)
+	setDisplaced(&b.content, slotA, lb)
+	setDisplaced(&b.content, slotB, la)
+	setDisplaced(&b.location, la, slotB)
+	setDisplaced(&b.location, lb, slotA)
 }
 
-// displacedOf is 1 when a slot holding the given logical row is away
-// from its home slot, else 0.
-func displacedOf(slot, logical RowID) int {
-	if slot == logical {
-		return 0
+// setDisplaced sets m[k] = v, storing the entry only while it differs
+// from the identity: an entry whose row is back home is deleted.
+func setDisplaced(m *map[RowID]RowID, k, v RowID) {
+	if k == v {
+		delete(*m, k)
+		return
 	}
-	return 1
+	if *m == nil {
+		*m = make(map[RowID]RowID)
+	}
+	(*m)[k] = v
 }
 
 // VerifyPermutation checks that content and location are mutually inverse
 // permutations — the data-integrity invariant of any swap mitigation.
+// With only displaced entries stored, that holds when every displaced
+// slot's row is itself displaced from a home slot that holds another
+// row, location maps each such row back, and location holds nothing
+// else.
 func (b *Bank) VerifyPermutation() error {
-	if b.content == nil {
-		return nil // implicit identity
+	if len(b.location) != len(b.content) {
+		return fmt.Errorf("dram: %d displaced slots but %d displaced rows", len(b.content), len(b.location))
 	}
-	seen := make([]bool, b.rows)
 	for slot, logical := range b.content {
-		if logical < 0 || int(logical) >= b.rows {
+		if slot < 0 || int(slot) >= b.rows || logical < 0 || int(logical) >= b.rows {
 			return fmt.Errorf("dram: slot %d holds out-of-range logical row %d", slot, logical)
 		}
-		if seen[logical] {
-			return fmt.Errorf("dram: logical row %d stored in two slots", logical)
+		if slot == logical {
+			return fmt.Errorf("dram: slot %d stored as displaced but holds its own row", slot)
 		}
-		seen[logical] = true
-		if b.location[logical] != RowID(slot) {
+		if _, ok := b.content[logical]; !ok {
+			return fmt.Errorf("dram: logical row %d stored in slot %d and in its home slot", logical, slot)
+		}
+		if at, ok := b.location[logical]; !ok || at != slot {
 			return fmt.Errorf("dram: location[%d]=%d but content[%d]=%d",
-				logical, b.location[logical], slot, logical)
+				logical, b.LocationOf(logical), slot, logical)
 		}
 	}
 	return nil
@@ -555,28 +496,10 @@ func (b *Bank) VerifyPermutation() error {
 
 // IsIdentity reports whether every logical row currently resides in its
 // home slot (i.e. all swaps have been unwound).
-func (b *Bank) IsIdentity() bool {
-	if b.content == nil {
-		return true
-	}
-	for slot, logical := range b.content {
-		if RowID(slot) != logical {
-			return false
-		}
-	}
-	return true
-}
+func (b *Bank) IsIdentity() bool { return len(b.content) == 0 }
 
 // DisplacedRows returns the number of logical rows not in their home slot.
-func (b *Bank) DisplacedRows() int {
-	n := 0
-	for slot, logical := range b.content {
-		if RowID(slot) != logical {
-			n++
-		}
-	}
-	return n
-}
+func (b *Bank) DisplacedRows() int { return len(b.content) }
 
 // StartNewWindow resets the per-slot activation counters at a refresh-
 // window boundary. With epoch-stamped counters this is a generation

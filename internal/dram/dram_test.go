@@ -260,7 +260,7 @@ func TestBankBlock(t *testing.T) {
 func TestLazyIdentityMaps(t *testing.T) {
 	b := newBank(64)
 	if b.content != nil || b.location != nil {
-		t.Fatal("permutation maps materialized before any swap")
+		t.Fatal("permutation maps allocated before any swap")
 	}
 	if b.ContentAt(5) != 5 || b.LocationOf(9) != 9 {
 		t.Error("implicit identity broken")
@@ -273,10 +273,10 @@ func TestLazyIdentityMaps(t *testing.T) {
 	}
 	b.SwapContents(2, 7)
 	if b.content == nil {
-		t.Fatal("SwapContents did not materialize the maps")
+		t.Fatal("SwapContents left the maps unallocated")
 	}
 	if b.ContentAt(2) != 7 || b.LocationOf(7) != 2 {
-		t.Error("swap lost on materialized maps")
+		t.Error("swap lost in the maps")
 	}
 	if b.IsIdentity() || b.DisplacedRows() != 2 {
 		t.Error("displacement not reflected")
@@ -463,78 +463,45 @@ func TestEpochWrapClearsSlots(t *testing.T) {
 }
 
 func TestRecycledPermutationMapsAreIdentity(t *testing.T) {
-	// A bank whose swaps were fully unwound leaves its permutation
-	// segment marked identity-valid; a bank with displaced rows must
-	// not. Either way every later materialize must observe the identity
-	// mapping.
-	unwound := newBank(64)
-	unwound.SwapContents(3, 9)
-	unwound.SwapContents(3, 9)
-	if unwound.displaced != 0 {
-		t.Fatalf("displaced = %d after unwinding, want 0", unwound.displaced)
-	}
-	stU := unwound.state
-	unwound.recycle()
-	if !stU.permIdentity[0] {
-		t.Fatal("unwound bank's segment not marked identity-valid")
-	}
-
-	// A bank recycled with displaced rows is repaired slot-by-slot from
-	// its dirty list, so its segment is identity-valid afterwards too.
-	dirty := newBank(64)
-	dirty.SwapContents(1, 2)
-	dirty.SwapContents(2, 5)
-	if dirty.displaced != 3 {
-		t.Fatalf("displaced = %d after chained swaps, want 3", dirty.displaced)
-	}
-	stD := dirty.state
-	dirty.recycle()
-	if !stD.permIdentity[0] {
-		t.Fatal("displaced bank's segment not repaired to identity by recycle")
-	}
-	repaired := bankFromState(stD, 0)
-	repaired.materialize()
-	if !repaired.IsIdentity() {
-		t.Fatal("repaired segment is not the identity")
-	}
-	if err := repaired.VerifyPermutation(); err != nil {
-		t.Fatalf("repaired segment: %v", err)
-	}
-
-	// Past the dirty-list cap the repair falls back to marking the
-	// segment invalid, and the next materialize refills it.
-	overflowed := bankFromState(repaired.state, 0)
-	for i := 0; i < 64; i++ { // 4 entries/swap over a 64-row bank: overflows
-		overflowed.SwapContents(RowID(i%32), RowID((i+11)%32))
-	}
-	if !overflowed.permDirtyOverflow {
-		t.Fatal("dirty list never hit its cap")
-	}
-	stO := overflowed.state
-	wasDisplaced := overflowed.displaced > 0
-	overflowed.recycle()
-	if wasDisplaced && stO.permIdentity[0] {
-		t.Fatal("overflowed displaced segment marked identity-valid")
-	}
-	refilled := bankFromState(stO, 0)
-	refilled.materialize()
-	if !refilled.IsIdentity() {
-		t.Fatal("materialize over an overflowed segment did not refill the identity")
-	}
-
-	for trial := 0; trial < 4; trial++ {
+	// Whatever permutation a bank leaves behind — every swap unwound,
+	// rows still displaced, or a long chain of swaps — the next bank
+	// built on its recycled rankState starts at the identity.
+	for name, swaps := range map[string][][2]RowID{
+		"unwound":   {{3, 9}, {3, 9}},
+		"displaced": {{1, 2}, {2, 5}},
+		"chained":   chainSwaps(64, 32),
+	} {
 		b := newBank(64)
-		b.materialize()
-		if !b.IsIdentity() {
-			t.Fatalf("trial %d: materialize produced a non-identity map", trial)
+		for _, sw := range swaps {
+			b.SwapContents(sw[0], sw[1])
 		}
 		if err := b.VerifyPermutation(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		b.SwapContents(7, 8)
-		b.SwapContents(7, 8)
+		st := b.state
 		b.recycle()
+		for trial := 0; trial < 2; trial++ {
+			next := bankFromState(st, 0)
+			if !next.IsIdentity() || next.DisplacedRows() != 0 || next.ContentAt(2) != 2 || next.LocationOf(5) != 5 {
+				t.Fatalf("%s: reused bank %d does not start at the identity", name, trial)
+			}
+			if err := next.VerifyPermutation(); err != nil {
+				t.Fatalf("%s: reused bank %d: %v", name, trial, err)
+			}
+			next.SwapContents(7, 8)
+			next.recycle()
+		}
 	}
+}
+
+// chainSwaps returns n swaps over the first rows/2 slots of a bank,
+// each sharing a slot with earlier ones.
+func chainSwaps(n, rows int) [][2]RowID {
+	out := make([][2]RowID, n)
+	for i := range out {
+		out[i] = [2]RowID{RowID(i % (rows / 2)), RowID((i + 11) % (rows / 2))}
+	}
+	return out
 }
 
 // refBank is a map-based oracle for one bank's refresh-window counts.

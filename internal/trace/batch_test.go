@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/dram"
 )
 
 // drainBatch pulls n records through the BatchStream interface using a
@@ -149,5 +151,130 @@ func TestBatchedAdapter(t *testing.T) {
 		if want := ref.Next(); r != want {
 			t.Fatalf("adapter record %d: %+v != %+v", i, r, want)
 		}
+	}
+}
+
+// FuzzSharedStreamMatchesGenerator reads streams through the memoized
+// cache under fuzzed profiles, seeds, geometries (channel, bank and row
+// counts that are not powers of two included), start offsets and byte
+// budgets that run out partway into the stream, and requires every
+// record to equal a private generator's, with Loc equal to
+// dram.DecodeAddr of Addr.
+func FuzzSharedStreamMatchesGenerator(f *testing.F) {
+	f.Add(uint8(0), uint64(42), uint8(1), uint8(0), uint8(15), uint16(1000), uint8(127), uint16(0), uint16(3000), uint8(3))
+	f.Add(uint8(5), uint64(7), uint8(2), uint8(1), uint8(5), uint16(777), uint8(3), uint16(5000), uint16(4097), uint8(1))
+	f.Add(uint8(40), uint64(1), uint8(0), uint8(0), uint8(0), uint16(0), uint8(0), uint16(4095), uint16(1), uint8(0))
+	f.Fuzz(func(t *testing.T, profIdx uint8, seed uint64, channels, ranks, banks uint8, rows uint16, lines uint8, start, n uint16, budgetChunks uint8) {
+		profs := AllProfiles()
+		prof := profs[int(profIdx)%len(profs)]
+		geo := config.Geometry{
+			Channels:    1 + int(channels)%3,
+			RanksPerCh:  1 + int(ranks)%2,
+			BanksPerRnk: 1 + int(banks)%16,
+			RowsPerBank: 1 + int(rows)%5000,
+			RowBytes:    64 * (1 + int(lines)),
+			LineBytes:   64,
+		}
+		// A budget of whole chunks plus a part of one: the part never
+		// buys a chunk, so the stream overflows at the next chunk's
+		// start, wherever the readers stand in it.
+		chunkCost := int64(streamChunkRecords) * streamRecordBytes
+		defer resetStreamCacheForTest(512 << 20)
+		resetStreamCacheForTest(int64(budgetChunks%4)*chunkCost + chunkCost/3)
+
+		check := func(name string, s BatchStream, ref Stream, count int) {
+			t.Helper()
+			got := drainBatch(t, s, count, []int{257, 1, 4096, 31})
+			for i, r := range got {
+				if want := ref.Next(); r != want {
+					t.Fatalf("%s record %d: %+v != %+v", name, i, r, want)
+				}
+				if loc := dram.DecodeAddr(geo, r.Addr); !r.HasLoc || r.Loc != loc {
+					t.Fatalf("%s record %d: Loc %+v, DecodeAddr %+v", name, i, r.Loc, loc)
+				}
+			}
+		}
+		check("from 0", NewSharedGenerator(prof, geo, seed), NewGenerator(prof, geo, seed), int(n)+1)
+		ref := newGenerator(prof, geo, seed)
+		ref.skip(int64(start))
+		check("from start", NewSharedGeneratorAt(prof, geo, seed, int64(start)), ref, int(n)+1)
+	})
+}
+
+// TestGapBoundDecidesMemoization checks both sides of the gap bound: the
+// largest AvgGap whose gaps fit a uint32 is memoized, the next one
+// bypasses the cache with a private generator, and either way the
+// records, from the start or from an offset, are the private
+// generator's. It also checks that the largest packed gap expands
+// intact.
+func TestGapBoundDecidesMemoization(t *testing.T) {
+	defer resetStreamCacheForTest(512 << 20)
+	resetStreamCacheForTest(512 << 20)
+	geo := config.DefaultGeometry()
+	base, _ := ProfileByName("mcf")
+	fits := func(avg int) bool {
+		p := base
+		p.AvgGap = avg
+		return gapBound(p) <= math.MaxUint32
+	}
+	lo, hi := 1, 1<<40 // fits(lo), !fits(hi)
+	for hi-lo > 1 {
+		if mid := lo + (hi-lo)/2; fits(mid) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	for _, avg := range []int{lo, lo + 1} {
+		prof := base
+		prof.AvgGap = avg
+		s := NewSharedGenerator(prof, geo, 3)
+		if _, shared := s.(*sharedReader); shared != (avg == lo) || Memoized(s) != (avg == lo) {
+			t.Fatalf("AvgGap %d (bound %.0f): memoized %v, want %v", avg, gapBound(prof), Memoized(s), avg == lo)
+		}
+		ref := NewGenerator(prof, geo, 3)
+		for i, r := range drainBatch(t, s, 5000, []int{100, 7}) {
+			if want := ref.Next(); r != want {
+				t.Fatalf("AvgGap %d record %d: %+v != %+v", avg, i, r, want)
+			}
+		}
+		at := NewSharedGeneratorAt(prof, geo, 3, 4000)
+		ref = NewGenerator(prof, geo, 3)
+		for i := 0; i < 4000; i++ {
+			ref.Next()
+		}
+		for i, r := range drainBatch(t, at, 2000, []int{333}) {
+			if want := ref.Next(); r != want {
+				t.Fatalf("AvgGap %d record %d from offset: %+v != %+v", avg, 4000+i, r, want)
+			}
+		}
+	}
+
+	g := newGenerator(base, geo, 1)
+	var out [1]Record
+	g.expand(out[:], []packedRecord{{gap: math.MaxUint32, row: 9, col: 5, bank: 3, flags: packedWrite}})
+	if out[0].Gap != math.MaxUint32 || !out[0].Write || out[0].NoAlloc {
+		t.Fatalf("largest gap expanded to %+v", out[0])
+	}
+}
+
+// TestCacheStatsCountsFallbacks checks CacheStats: 12 packed bytes per
+// memoized record, one stream per key, and one fallback per reader that
+// runs past the budget.
+func TestCacheStatsCountsFallbacks(t *testing.T) {
+	defer resetStreamCacheForTest(512 << 20)
+	resetStreamCacheForTest(int64(streamChunkRecords) * streamRecordBytes)
+	geo := config.DefaultGeometry()
+	prof, _ := ProfileByName("gups")
+	for r := 0; r < 2; r++ {
+		drainBatch(t, NewSharedGenerator(prof, geo, 5), 5000, []int{1000})
+	}
+	want := StreamCacheStats{Records: streamChunkRecords, Bytes: streamChunkRecords * 12, Streams: 1, Fallbacks: 2}
+	if got := CacheStats(); got != want {
+		t.Fatalf("CacheStats = %+v, want %+v", got, want)
+	}
+	ResetStreamCache()
+	if got := CacheStats(); got != (StreamCacheStats{}) {
+		t.Fatalf("CacheStats after reset = %+v, want zero", got)
 	}
 }

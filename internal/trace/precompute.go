@@ -16,27 +16,32 @@ import (
 // every benchmark iteration, and every cell of the quick matrix replays
 // the identical (workload, core) stream from scratch. This file memoizes
 // generated records process-wide in fixed-size chunks so the Zipf/gap
-// sampling cost is paid once per unique stream prefix and every
-// subsequent run consumes records with a bare memcpy.
+// sampling cost is paid once per unique stream prefix. Chunks hold the
+// sampled records packed (packedRecord, 12 bytes against Record's 72),
+// and every read expands them into the reader's slab with the
+// generator's own second pass.
 //
 // The cache is bounded by a global byte budget (default 512 MiB,
-// override with ROWSWAP_STREAM_CACHE_MB; 0 disables memoization), which
-// also covers, up to a quarter of it, the baseline tapes sim keeps
-// beside the streams they index (ReserveCacheBytes). When the budget is exhausted a reader
+// override with ROWSWAP_STREAM_CACHE_MB; 0 disables memoization),
+// charged in packed bytes, which also covers, up to a quarter of it,
+// the baseline tapes sim keeps beside the streams they index
+// (ReserveCacheBytes). When the budget is exhausted a reader
 // transparently falls back to a private generator: it regenerates (and
 // discards) the prefix it already consumed once, then continues live —
 // bit-identical either way, because the stream is deterministic in its
 // key. Chunks are produced on demand, so only prefixes actually
 // consumed occupy budget, and entries are never evicted: the working
 // set of an evaluation is a fixed set of stream prefixes, which is
-// exactly what the budget caps.
+// exactly what the budget caps. A profile whose records do not pack
+// (packable) is never memoized.
 
 // streamChunkRecords is the memoization granularity. 4096 records
-// (~288 KiB) amortizes the copy-on-write append of the chunk index while
-// keeping over-generation beyond a short run's needs negligible.
+// (48 KiB packed) amortizes the copy-on-write append of the chunk index
+// while keeping over-generation beyond a short run's needs negligible.
 const streamChunkRecords = 4096
 
-const streamRecordBytes = int64(unsafe.Sizeof(Record{}))
+// streamRecordBytes is what one memoized record costs the budget.
+const streamRecordBytes = int64(unsafe.Sizeof(packedRecord{}))
 
 type streamKey struct {
 	prof Profile
@@ -56,6 +61,9 @@ var (
 	// quarter of the budget, so side state never takes the streams'
 	// share.
 	sideBytes, sideLimit atomic.Int64
+	// chunkRecords is what the memoized chunks hold; fallbacks counts
+	// the readers that fell back to a private generator (CacheStats).
+	chunkRecords, fallbacks atomic.Int64
 )
 
 func streamBudgetInit() {
@@ -80,13 +88,13 @@ type cachedStream struct {
 	key      streamKey
 	mu       sync.Mutex // serializes generation and index growth
 	gen      *generator
-	chunks   atomic.Pointer[[][]Record]
+	chunks   atomic.Pointer[[][]packedRecord]
 	overflow atomic.Bool // budget exhausted; no further chunks will appear
 }
 
 // chunk returns the idx'th memoized chunk, generating forward as needed,
 // or nil when the byte budget ran out before that chunk.
-func (c *cachedStream) chunk(idx int) []Record {
+func (c *cachedStream) chunk(idx int) []packedRecord {
 	if chs := c.chunks.Load(); chs != nil && idx < len(*chs) {
 		return (*chs)[idx]
 	}
@@ -113,9 +121,10 @@ func (c *cachedStream) chunk(idx int) []Record {
 			c.overflow.Store(true)
 			return nil
 		}
-		buf := make([]Record, streamChunkRecords)
-		c.gen.NextBatch(buf)
-		next := make([][]Record, have+1)
+		buf := make([]packedRecord, streamChunkRecords)
+		c.gen.sample(buf)
+		chunkRecords.Add(streamChunkRecords)
+		next := make([][]packedRecord, have+1)
 		if chs != nil {
 			copy(next, *chs)
 		}
@@ -145,7 +154,14 @@ func NewSharedGenerator(prof Profile, geo config.Geometry, seed uint64) BatchStr
 // NewSharedGeneratorAt is NewSharedGenerator positioned after the
 // stream's first pos records, without copying them: a reader resumed at
 // a record it consumed before continues exactly where it left off.
+// A profile whose records do not pack gets a private generator,
+// advanced past the first pos records.
 func NewSharedGeneratorAt(prof Profile, geo config.Geometry, seed uint64, pos int64) BatchStream {
+	if !packable(prof, geo) {
+		g := newGenerator(prof, geo, seed)
+		g.skip(pos)
+		return g
+	}
 	streamBudgetInit()
 	k := streamKey{prof: prof, geo: geo, seed: seed}
 	streamCacheMu.Lock()
@@ -213,7 +229,8 @@ func (s *sharedReader) NextBatch(dst []Record) int {
 		s.fallback()
 		return s.priv.NextBatch(dst)
 	}
-	n := copy(dst, ch[off:])
+	n := min(len(dst), len(ch)-off)
+	s.c.gen.expand(dst, ch[off:off+n])
 	s.pos += int64(n)
 	return n
 }
@@ -224,16 +241,57 @@ func (s *sharedReader) NextBatch(dst []Record) int {
 // O(pos) replay per reader, only ever paid under memory pressure.
 func (s *sharedReader) fallback() {
 	g := newGenerator(s.c.key.prof, s.c.key.geo, s.c.key.seed)
-	var discard [512]Record
-	for left := s.pos; left > 0; {
-		n := int64(len(discard))
-		if left < n {
-			n = left
-		}
-		g.NextBatch(discard[:n])
-		left -= n
-	}
+	g.skip(s.pos)
 	s.priv = g
+	fallbacks.Add(1)
+}
+
+// skip draws and discards the stream's next n records.
+func (g *generator) skip(n int64) {
+	var discard [512]Record
+	for n > 0 {
+		k := min(n, int64(len(discard)))
+		g.NextBatch(discard[:k])
+		n -= k
+	}
+}
+
+// StreamCacheStats is a snapshot of the memoized stream cache.
+type StreamCacheStats struct {
+	// Records is how many records the memoized chunks hold, and Bytes
+	// what they take; tapes charged through ReserveCacheBytes are not
+	// included.
+	Records, Bytes int64
+	// Streams is the number of memoized streams.
+	Streams int
+	// Fallbacks is the number of readers that ran past the budget and
+	// fell back to a private generator.
+	Fallbacks int64
+}
+
+// CacheStats reports the memoized stream cache's size and how many
+// readers fell back since the process started (or since
+// ResetStreamCache).
+func CacheStats() StreamCacheStats {
+	streamCacheMu.Lock()
+	n := len(streamCache)
+	streamCacheMu.Unlock()
+	recs := chunkRecords.Load()
+	return StreamCacheStats{Records: recs, Bytes: recs * streamRecordBytes, Streams: n, Fallbacks: fallbacks.Load()}
+}
+
+// ResetStreamCache drops every memoized stream, returns its chunks'
+// bytes to the budget and zeroes the fallback count, so a benchmark can
+// measure the cache an evaluation fills from empty. Call it while no
+// stream is being read: a reader holding a dropped stream keeps it
+// alive, and chunks it adds still count in CacheStats.
+func ResetStreamCache() {
+	streamBudgetInit()
+	streamCacheMu.Lock()
+	streamCache = make(map[streamKey]*cachedStream)
+	streamCacheMu.Unlock()
+	streamBudget.Add(chunkRecords.Swap(0) * streamRecordBytes)
+	fallbacks.Store(0)
 }
 
 // resetStreamCacheForTest drops all memoized streams and sets the budget
@@ -242,9 +300,7 @@ func (s *sharedReader) fallback() {
 // entries keep them alive until they finish.
 func resetStreamCacheForTest(budgetBytes int64) {
 	budgetOnce.Do(func() {})
-	streamCacheMu.Lock()
-	streamCache = make(map[streamKey]*cachedStream)
-	streamCacheMu.Unlock()
+	ResetStreamCache()
 	streamBudget.Store(budgetBytes)
 	sideLimit.Store(budgetBytes / 4)
 }

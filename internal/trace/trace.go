@@ -16,6 +16,8 @@
 package trace
 
 import (
+	"math"
+
 	"repro/internal/config"
 	"repro/internal/dram"
 	"repro/internal/stats"
@@ -23,9 +25,9 @@ import (
 
 // Record is one entry of a core's access stream. Field order groups the
 // word-sized fields first so the three flag bytes share one padding
-// tail: records are copied through slabs and memoized chunks by value,
-// so the 8 bytes saved per record are real cache-bandwidth savings on
-// the hot path.
+// tail: records are copied through the cores' slabs by value, so the 8
+// bytes saved per record are real cache-bandwidth savings on the hot
+// path. Memoized streams hold records packed (packedRecord) instead.
 type Record struct {
 	// Gap is the number of non-memory instructions the core retires
 	// before issuing this access.
@@ -164,17 +166,74 @@ type generator struct {
 	banksPerCh int
 	lpr        int
 
+	// The address of (bank b, row, col) is row*rowStride +
+	// col*colStride + banks[b].base, and banks[b] also holds b's decoded
+	// channel, rank and bank: dram.EncodeLoc's arithmetic with the
+	// geometry folded in. expand reads only these and never writes
+	// them, so readers of a memoized stream share them with the
+	// generator that samples it.
+	rowStride, colStride uint64
+	banks                []bankPlace
+
+	// packable is whether every record fits a packedRecord (see
+	// packable). When not, NextBatch draws record by record through
+	// Next and the stream cache bypasses the profile.
+	packable bool
+
 	curBank uint8
 	curRow  int32
 	curCol  int
 	runLeft int
 
-	// Scratch (bank, row, col) triples reused across NextBatch calls:
-	// the batch sampling pass records only the triple per record, and a
-	// second pass composes Addr/Loc for the whole slab at once.
-	sBank []uint8
-	sRow  []int32
-	sCol  []int32
+	// scratch holds a NextBatch slab's sampled records between its two
+	// passes.
+	scratch []packedRecord
+}
+
+// bankPlace is one flat bank's share of an address and its decoded
+// coordinates.
+type bankPlace struct {
+	base                uint64
+	channel, rank, bank int
+}
+
+// packedRecord is what the sampling pass draws for one record, 12 bytes
+// against Record's 72: Addr and Loc are functions of (bank, row, col)
+// under the stream's geometry, and HasLoc is always set. Memoized
+// streams store records in this form. The gap fits when the profile's
+// gap bound does (packable), the column when a row holds at most 2^16
+// lines, and the bank is the generator's own uint8.
+type packedRecord struct {
+	gap   uint32
+	row   int32
+	col   uint16
+	bank  uint8
+	flags uint8
+}
+
+const (
+	packedWrite uint8 = 1 << iota
+	packedNoAlloc
+)
+
+// packable reports whether every record prof's generator can draw under
+// geo fits a packedRecord: a row of at most 2^16 lines, and a gap bound
+// within uint32.
+func packable(prof Profile, geo config.Geometry) bool {
+	return geo.LinesPerRow() <= 1<<16 && gapBound(prof) <= math.MaxUint32
+}
+
+// gapBound is the largest Gap prof's generator can draw. stats.Geom
+// draws ⌈ln u / ln(1−p)⌉ with p = 1/(AvgGap+1), and RNG.Float64's
+// smallest non-zero u is 2⁻⁵³, so this repeats that computation at
+// u = 2⁻⁵³, operation for operation, and subtracts the 1 the generator
+// does.
+func gapBound(prof Profile) float64 {
+	if prof.AvgGap <= 0 {
+		return 0
+	}
+	p := 1 / float64(prof.AvgGap+1)
+	return math.Ceil(math.Log(0x1p-53)/math.Log1p(-p)) - 1
 }
 
 // NewGenerator returns a deterministic Stream for prof over the given
@@ -192,6 +251,19 @@ func newGenerator(prof Profile, geo config.Geometry, seed uint64) *generator {
 		rng:        rng,
 		banksPerCh: geo.RanksPerCh * geo.BanksPerRnk,
 		lpr:        geo.LinesPerRow(),
+	}
+	g.colStride = uint64(geo.BanksPerRnk*geo.Channels) * uint64(geo.LineBytes)
+	g.rowStride = uint64(geo.RanksPerCh*g.lpr) * g.colStride
+	g.packable = packable(prof, geo)
+	g.banks = make([]bankPlace, geo.TotalBanks())
+	for b := range g.banks {
+		ch := b / g.banksPerCh
+		rem := b % g.banksPerCh
+		rank, bank := rem/geo.BanksPerRnk, rem%geo.BanksPerRnk
+		g.banks[b] = bankPlace{
+			base:    dram.EncodeLoc(geo, dram.Location{Channel: ch, Rank: rank, Bank: bank}),
+			channel: ch, rank: rank, bank: bank,
+		}
 	}
 	n := prof.FootprintRows
 	if n <= 0 {
@@ -283,51 +355,55 @@ func (g *generator) Next() Record {
 }
 
 // NextBatch fills dst with the next len(dst) records of the stream in
-// two passes: a sampling pass that draws gap/write/hot decisions and
-// row selections in exactly the per-record order Next uses (so the
-// sequence is bit-identical regardless of batch boundaries — the
-// all-profiles differential test pins this), recording only a
-// (bank, row, col) triple per record; then an address pass that
-// composes Addr and the cached Loc for the whole slab with the
-// geometry constants hoisted out of the loop. Splitting the passes
-// keeps the sampling loop's working set tiny (RNG state + the triple
-// arrays) and turns the EncodeLoc arithmetic into a straight-line
-// vectorizable sweep.
+// two passes: sample draws the records in their packed form, then
+// expand composes each Record's Addr and cached Loc. A profile whose
+// records do not pack is drawn through Next, record by record.
 func (g *generator) NextBatch(dst []Record) int {
 	n := len(dst)
-	if n == 0 {
-		return 0
+	if !g.packable {
+		for i := range dst {
+			dst[i] = g.Next()
+		}
+		return n
 	}
-	if cap(g.sBank) < n {
-		g.sBank = make([]uint8, n)
-		g.sRow = make([]int32, n)
-		g.sCol = make([]int32, n)
+	if cap(g.scratch) < n {
+		g.scratch = make([]packedRecord, n)
 	}
-	sBank := g.sBank[:n]
-	sRow := g.sRow[:n]
-	sCol := g.sCol[:n]
+	src := g.scratch[:n]
+	g.sample(src)
+	g.expand(dst, src)
+	return n
+}
 
+// sample draws the next len(dst) records in packed form: gap/write/hot
+// decisions and row selections in exactly the per-record order Next
+// uses, so the sequence is bit-identical regardless of batch boundaries
+// (the all-profiles differential test pins this). Keeping address
+// composition out of this loop keeps its working set to the RNG state
+// and the row tables.
+func (g *generator) sample(dst []packedRecord) {
 	p := &g.prof
 	rng := g.rng
 	lpr := g.lpr
 
-	// Pass 1: sampling. Draw order per record matches Next exactly:
-	// gap, write, hot, then on a new row {zipf rank, column, run}.
-	for i := 0; i < n; i++ {
-		gap := 0
+	// Draw order per record matches Next exactly: gap, write, hot, then
+	// on a new row {zipf rank, column, run}.
+	for i := range dst {
+		var gap uint32
 		if p.AvgGap > 0 {
-			gap = int(g.gap.Next()) - 1
+			gap = uint32(g.gap.Next() - 1)
 		}
-		write := rng.Float64() < p.WriteFrac
+		var flags uint8
+		if rng.Float64() < p.WriteFrac {
+			flags = packedWrite
+		}
+		d := &dst[i]
 
 		if p.HotRows > 0 && rng.Float64() < p.HotFrac {
 			hi := g.hotCol % p.HotRows
 			col := (g.hotCol / p.HotRows) % lpr
 			g.hotCol++
-			dst[i] = Record{Gap: gap, Write: write, NoAlloc: true, HasLoc: true}
-			sBank[i] = g.hotBank[hi]
-			sRow[i] = g.hotRow[hi]
-			sCol[i] = int32(col)
+			d.gap, d.row, d.col, d.bank, d.flags = gap, g.hotRow[hi], uint16(col), g.hotBank[hi], flags|packedNoAlloc
 			continue
 		}
 
@@ -342,40 +418,35 @@ func (g *generator) NextBatch(dst []Record) int {
 			}
 			g.runLeft = run
 		}
-		dst[i] = Record{Gap: gap, Write: write, HasLoc: true}
-		sBank[i] = g.curBank
-		sRow[i] = g.curRow
-		sCol[i] = int32(g.curCol)
+		d.gap, d.row, d.col, d.bank, d.flags = gap, g.curRow, uint16(g.curCol), g.curBank, flags
 		g.curCol++
 		g.runLeft--
 	}
+}
 
-	// Pass 2: address composition for the whole slab. Same math as
-	// place/dram.EncodeLoc with the geometry divisors hoisted.
-	geo := g.geo
-	banksPerCh := g.banksPerCh
-	ranksPerCh := uint64(geo.RanksPerCh)
-	banksPerRnk := uint64(geo.BanksPerRnk)
-	channels := uint64(geo.Channels)
-	lineBytes := uint64(geo.LineBytes)
-	lpr64 := uint64(lpr)
-	for i := 0; i < n; i++ {
-		b := int(sBank[i])
-		row := sRow[i]
-		col := int(sCol[i])
-		ch := b / banksPerCh
-		rem := b % banksPerCh
-		rank := rem / geo.BanksPerRnk
-		bank := rem % geo.BanksPerRnk
-		line := uint64(row)*ranksPerCh + uint64(rank)
-		line = line*lpr64 + uint64(col)
-		line = line*banksPerRnk + uint64(bank)
-		line = line*channels + uint64(ch)
+// expand writes the Record of each packed record in src to dst, which
+// must be at least as long. It reads only the generator's geometry
+// table, so any number of goroutines may expand through one generator
+// while its owner samples. Fields are assigned one by one: building
+// each Record as a composite literal measured several times slower
+// per record (16 ns against 3–7 ns on a 2-vCPU Xeon).
+func (g *generator) expand(dst []Record, src []packedRecord) {
+	dst = dst[:len(src)]
+	rowStride, colStride, banks := g.rowStride, g.colStride, g.banks
+	for i := range src {
+		s := &src[i]
+		bp := &banks[s.bank]
 		r := &dst[i]
-		r.Addr = line * lineBytes
-		r.Loc = dram.Location{
-			Channel: ch, Rank: rank, Bank: bank, BankIdx: b, Row: row, Col: col,
-		}
+		r.Gap = int(s.gap)
+		r.Addr = uint64(s.row)*rowStride + uint64(s.col)*colStride + bp.base
+		r.Loc.Channel = bp.channel
+		r.Loc.Rank = bp.rank
+		r.Loc.Bank = bp.bank
+		r.Loc.BankIdx = int(s.bank)
+		r.Loc.Row = s.row
+		r.Loc.Col = int(s.col)
+		r.Write = s.flags&packedWrite != 0
+		r.NoAlloc = s.flags&packedNoAlloc != 0
+		r.HasLoc = true
 	}
-	return n
 }

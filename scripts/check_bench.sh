@@ -14,7 +14,10 @@
 #   structurally complete: a hot_path section with all four component
 #   measurements (so the aggregate number stays attributable), and a
 #   regime_breakdown with stepped_cycles == 0 (nothing silently fell
-#   back to per-cycle stepping).
+#   back to per-cycle stepping). When the baseline records
+#   stream_cache_bytes (what the memoized trace streams of one quick
+#   matrix take, a host-independent count), the fresh file must record
+#   it too, no larger.
 #
 #   BENCH_sweep.json — sectioned ({evaluation, work_stealing, service,
 #   ...}), each section written by one e2e test. Sections hold
@@ -80,6 +83,18 @@ if "approx_sim_ips" in base_doc:
         failed = True
     else:
         print("bench gate: stepped_cycles == 0 (no per-cycle fallback)")
+
+    if "stream_cache_bytes" in base_doc:
+        base_bytes = base_doc["stream_cache_bytes"]
+        new_bytes = new_doc.get("stream_cache_bytes")
+        if new_bytes is None or new_bytes > base_bytes:
+            print(f"bench gate: stream_cache_bytes {new_bytes!r} > baseline "
+                  f"{base_bytes:,} (the quick matrix's memoized streams grew)",
+                  file=sys.stderr)
+            failed = True
+        else:
+            print(f"bench gate: stream_cache_bytes {new_bytes:,} <= baseline "
+                  f"{base_bytes:,}: OK")
 
     sys.exit(1 if failed else 0)
 
