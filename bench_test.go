@@ -27,6 +27,7 @@ import (
 	"repro/internal/power"
 	"repro/internal/report"
 	"repro/internal/sim"
+	"repro/internal/simcache"
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -280,7 +281,7 @@ var kernelBench struct {
 	// kernel. Which cells derive depends on the cells alone, but only
 	// event-kernel baselines record the tapes sim.Resume restarts
 	// cells from, so the cycle-stepped matrix simulates those in full.
-	cells map[sim.Kernel]report.CellStats
+	cells map[sim.Kernel]simcache.Counts
 }
 
 // timeQuickMatrix runs one untimed warm-up matrix (it fills the shared
@@ -304,7 +305,7 @@ func timeQuickMatrix(b *testing.B, popt report.PerfOptions) float64 {
 	after := report.CellCounts()
 	secs := b.Elapsed().Seconds() / float64(b.N)
 	n := int64(b.N)
-	per := report.CellStats{
+	per := simcache.Counts{
 		Simulated:    (after.Simulated - before.Simulated) / n,
 		Derived:      (after.Derived - before.Derived) / n,
 		Resumed:      (after.Resumed - before.Resumed) / n,
@@ -316,7 +317,7 @@ func timeQuickMatrix(b *testing.B, popt report.PerfOptions) float64 {
 	if popt.CacheDir == "" { // a warm cache serves cells without simulating them
 		kernelBench.Lock()
 		if kernelBench.cells == nil {
-			kernelBench.cells = map[sim.Kernel]report.CellStats{}
+			kernelBench.cells = map[sim.Kernel]simcache.Counts{}
 		}
 		kernelBench.cells[popt.Sim.Kernel] = per
 		kernelBench.Unlock()

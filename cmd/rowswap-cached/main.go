@@ -70,13 +70,17 @@ func main() {
 }
 
 func run(manifestPath, storeDir, addr string, lease time.Duration, progress bool) error {
-	opts := objstore.ServerOptions{Lease: lease, NewFolder: newFolder}
+	cache, err := simcache.Open(storeDir)
+	if err != nil {
+		return fmt.Errorf("store dir: %w", err)
+	}
+	var logw *os.File
+	if progress {
+		logw = os.Stderr
+	}
+	srv := objstore.NewServer(cache, objstore.ServerOptions{Lease: lease, Log: logIfSet(logw), NewFolder: newFolder})
 	if manifestPath != "" {
-		raw, err := os.ReadFile(manifestPath)
-		if err != nil {
-			return err
-		}
-		m, err := sweep.LoadManifest(manifestPath)
+		m, raw, err := sweep.LoadManifestRaw(manifestPath)
 		if err != nil {
 			return err
 		}
@@ -86,19 +90,10 @@ func run(manifestPath, storeDir, addr string, lease time.Duration, progress bool
 		if err := m.ValidateStructure(); err != nil {
 			return err
 		}
-		opts.Manifest = raw
-		opts.Jobs = m.QueueJobs()
+		if _, err := srv.Register(raw); err != nil {
+			return err
+		}
 	}
-	cache, err := simcache.Open(storeDir)
-	if err != nil {
-		return fmt.Errorf("store dir: %w", err)
-	}
-	var logw *os.File
-	if progress {
-		logw = os.Stderr
-	}
-	opts.Log = logIfSet(logw)
-	srv := objstore.NewServer(cache, opts)
 	// Restart recovery: manifests registered in earlier daemon lives are
 	// persisted under the store directory; re-registering them rebuilds
 	// each queue's done-ness from the results already in the store, so a

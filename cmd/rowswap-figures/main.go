@@ -73,8 +73,8 @@ func main() {
 			os.Exit(2)
 		}
 		// In follow mode -manifest selects the daemon tenant (by the
-		// manifest's content fingerprint); without it the daemon's
-		// default manifest is followed.
+		// manifest's content fingerprint); without it the daemon must
+		// serve exactly one manifest, which is followed.
 		if err := runFollow(*server, *manifest); err != nil {
 			fmt.Fprintf(os.Stderr, "rowswap-figures: follow %s: %v\n", *server, err)
 			os.Exit(1)
@@ -192,7 +192,12 @@ const followPollWait = 25 * time.Second
 // re-rendering the merged results file produce identical bytes.
 func runFollow(serverURL, manifestPath string) error {
 	client := objstore.NewClient(serverURL)
-	if manifestPath != "" {
+	if manifestPath == "" {
+		var err error
+		if client, err = client.SoleManifest(); err != nil {
+			return fmt.Errorf("%w (pass -manifest to choose one)", err)
+		}
+	} else {
 		raw, err := os.ReadFile(manifestPath)
 		if err != nil {
 			return err

@@ -56,8 +56,10 @@ func usage() {
 work registers its manifest with a rowswap-cached daemon (idempotent —
 the daemon keys each evaluation by manifest fingerprint) and claims
 jobs from that manifest's work-stealing queue until the evaluation is
-done, pushing every result to the daemon. merge reads the daemon's
-folded figure snapshot; no cache directories change hands.
+done, pushing every result to the daemon; without -manifest it works
+on the daemon's manifest if the daemon serves exactly one. merge reads
+the daemon's folded figure snapshot; no cache directories change
+hands.
 `)
 	os.Exit(2)
 }
@@ -166,7 +168,7 @@ func defaultWorkerName() string {
 func runWork(args []string) error {
 	fs := flag.NewFlagSet("work", flag.ExitOnError)
 	server := fs.String("server", "", "rowswap-cached URL to claim jobs from and push results to")
-	manifest := fs.String("manifest", "", "manifest written by plan (default: fetch it from the server)")
+	manifest := fs.String("manifest", "", "manifest written by plan (default: the server's, if it serves exactly one)")
 	name := fs.String("name", defaultWorkerName(), "worker name reported to the coordinator")
 	workers := fs.Int("workers", 0, "simulation goroutines claiming independently (0 = all CPUs)")
 	progress := fs.Bool("progress", false, "print per-job progress")
@@ -180,11 +182,11 @@ func runWork(args []string) error {
 	var err error
 	if *manifest != "" {
 		raw, err = os.ReadFile(*manifest)
-		if err != nil {
-			return err
-		}
-	} else if raw, err = client.ManifestJSON(); err != nil {
-		return fmt.Errorf("fetching manifest from %s: %w (daemon has no default manifest; pass -manifest to register one)", client.Base(), err)
+	} else if client, err = client.SoleManifest(); err == nil {
+		raw, err = client.ManifestJSON()
+	}
+	if err != nil {
+		return fmt.Errorf("%w (pass -manifest to choose or register one)", err)
 	}
 	var m sweep.Manifest
 	if err := json.Unmarshal(raw, &m); err != nil {

@@ -32,10 +32,12 @@ type Client struct {
 	base string
 	hc   *http.Client
 
-	// fingerprint, when non-empty, namespaces the control plane: claim,
-	// complete, heartbeat, status, and manifest go to /m/{fp}/... so one
-	// daemon serves many concurrent sweeps. The data plane (entries) is
-	// content-addressed and therefore shared across tenants.
+	// fingerprint names the manifest whose queue the control plane
+	// addresses: claim, complete, heartbeat, status, events, figures and
+	// manifest go to /m/{fp}/..., so one daemon serves many concurrent
+	// sweeps. It is empty until ForManifest binds one. The data plane
+	// (entries) is content-addressed and therefore shared across
+	// tenants.
 	fingerprint string
 
 	// attempts and backoff tune the retry loop; tests shrink them.
@@ -44,8 +46,9 @@ type Client struct {
 }
 
 // NewClient returns a client for the server at base (host:port or a
-// full http:// URL), addressing the daemon's default manifest via the
-// legacy /v1/* queue routes. Use ForManifest for a namespaced client.
+// full http:// URL). It reaches the shared store and the service
+// routes; its queue calls fail, without a request, until ForManifest
+// (or SoleManifest) binds it to a manifest.
 func NewClient(base string) *Client {
 	base = strings.TrimRight(base, "/")
 	if !strings.Contains(base, "://") {
@@ -73,18 +76,37 @@ func (c *Client) ForManifest(fingerprint string) *Client {
 func (c *Client) Base() string { return c.base }
 
 // Fingerprint returns the manifest fingerprint the client's control
-// plane is namespaced to ("" = the daemon's default manifest).
+// plane is namespaced to ("" = not bound yet).
 func (c *Client) Fingerprint() string { return c.fingerprint }
 
-// ctl maps a queue control-plane operation ("claim", "complete",
-// "heartbeat", "status", "manifest") to its route: the legacy
-// single-manifest /v1/* surface, or the /m/{fp}/* namespace when the
-// client is bound to a fingerprint.
-func (c *Client) ctl(op string) string {
-	if c.fingerprint == "" {
-		return "/v1/" + op
+// SoleManifest binds the client to the one manifest the daemon serves,
+// found with GET /v1/service, for callers that were given no manifest
+// of their own. With none or several registered it fails, naming the
+// fingerprints it found.
+func (c *Client) SoleManifest() (*Client, error) {
+	st, err := c.ServiceStatus()
+	if err != nil {
+		return nil, err
 	}
-	return "/m/" + c.fingerprint + "/" + op
+	if len(st.Manifests) == 1 {
+		return c.ForManifest(st.Manifests[0].Fingerprint), nil
+	}
+	fps := make([]string, len(st.Manifests))
+	for i, m := range st.Manifests {
+		fps[i] = m.Fingerprint
+	}
+	return nil, fmt.Errorf("objstore: %s serves %d manifests, not one: [%s]", c.base, len(fps), strings.Join(fps, " "))
+}
+
+// ctl sends one queue control-plane request ("claim", "complete",
+// "heartbeat", "status", "events", "figures", "manifest") to the
+// client's manifest namespace, /m/{fp}/{op}. An unbound client fails
+// before any request is sent.
+func (c *Client) ctl(method, op string, body []byte) ([]byte, error) {
+	if c.fingerprint == "" {
+		return nil, fmt.Errorf("objstore: %s %s: the client is not namespaced to a manifest (Client.ForManifest)", method, op)
+	}
+	return c.do(method, "/m/"+c.fingerprint+"/"+op, body)
 }
 
 // errStatus is a non-2xx response with the server's decoded reason and
@@ -229,11 +251,10 @@ func (c *Client) Put(key string, v any) error {
 	return c.PutEntryRaw(key, data)
 }
 
-// ManifestJSON fetches the manifest behind the client's namespace (the
-// daemon's default manifest for an unbound client), so a worker
-// machine needs only the binary and the server URL.
+// ManifestJSON fetches the manifest behind the client's namespace, so
+// a worker machine needs only the binary and the server URL.
 func (c *Client) ManifestJSON() ([]byte, error) {
-	return c.do(http.MethodGet, c.ctl("manifest"), nil)
+	return c.ctl(http.MethodGet, "manifest", nil)
 }
 
 // Register registers raw manifest JSON with the service (idempotent:
@@ -261,7 +282,7 @@ func (c *Client) ClaimJob(worker string) (ClaimResponse, error) {
 	if err != nil {
 		return ClaimResponse{}, err
 	}
-	data, err := c.do(http.MethodPost, c.ctl("claim"), body)
+	data, err := c.ctl(http.MethodPost, "claim", body)
 	if err != nil {
 		return ClaimResponse{}, err
 	}
@@ -287,7 +308,7 @@ func (c *Client) Complete(job int, lease, worker string) error {
 	if err != nil {
 		return err
 	}
-	_, err = c.do(http.MethodPost, c.ctl("complete"), body)
+	_, err = c.ctl(http.MethodPost, "complete", body)
 	return err
 }
 
@@ -305,7 +326,7 @@ func (c *Client) Heartbeat(job int, lease, worker string) error {
 	if err != nil {
 		return err
 	}
-	_, err = c.do(http.MethodPost, c.ctl("heartbeat"), body)
+	_, err = c.ctl(http.MethodPost, "heartbeat", body)
 	var se *errStatus
 	if errors.As(err, &se) && (se.errCode == codeLeaseLost || se.code == http.StatusNotFound) {
 		return fmt.Errorf("%w: %s", ErrLeaseLost, se.reason)
@@ -323,8 +344,7 @@ func (c *Client) Heartbeat(job int, lease, worker string) error {
 // below the client's 60 s request timeout; the server additionally
 // caps it at 30 s.
 func (c *Client) Events(cursor int, wait time.Duration) ([]Event, error) {
-	path := fmt.Sprintf("%s?cursor=%d&wait_ms=%d", c.ctl("events"), cursor, wait.Milliseconds())
-	data, err := c.do(http.MethodGet, path, nil)
+	data, err := c.ctl(http.MethodGet, fmt.Sprintf("events?cursor=%d&wait_ms=%d", cursor, wait.Milliseconds()), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -332,7 +352,7 @@ func (c *Client) Events(cursor int, wait time.Duration) ([]Event, error) {
 }
 
 // DecodeEvents decodes a completion feed body (NDJSON, one Event per
-// line) as served by GET /v1/events and /m/{fp}/events. Exported
+// line) as served by GET /m/{fp}/events. Exported
 // alongside the status decoders so it can be fuzzed directly: any
 // input yields events or an error, never a panic, and a decoded event
 // always carries a positive Seq and a well-formed key.
@@ -362,20 +382,20 @@ func DecodeEvents(data []byte) ([]Event, error) {
 // sweep.Partial: renderable rows so far plus coverage). 404 means the
 // daemon keeps no figure folder for this manifest.
 func (c *Client) FiguresJSON() ([]byte, error) {
-	return c.do(http.MethodGet, c.ctl("figures"), nil)
+	return c.ctl(http.MethodGet, "figures", nil)
 }
 
 // Status fetches a queue snapshot of the client's namespace.
 func (c *Client) Status() (QueueStats, error) {
-	data, err := c.do(http.MethodGet, c.ctl("status"), nil)
+	data, err := c.ctl(http.MethodGet, "status", nil)
 	if err != nil {
 		return QueueStats{}, err
 	}
 	return DecodeQueueStats(data)
 }
 
-// DecodeQueueStats decodes one queue snapshot as served by /v1/status
-// and /m/{fp}/status. Exported (with DecodeServiceStatus) so the
+// DecodeQueueStats decodes one queue snapshot as served by
+// /m/{fp}/status. Exported (with DecodeServiceStatus) so the
 // decoders that parse daemon answers can be fuzzed directly.
 func DecodeQueueStats(data []byte) (QueueStats, error) {
 	var st QueueStats

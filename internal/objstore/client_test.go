@@ -224,7 +224,7 @@ func TestClientRetryTable(t *testing.T) {
 			stub := &flakyServer{steps: tc.steps}
 			ts := httptest.NewServer(http.HandlerFunc(stub.handler))
 			defer ts.Close()
-			c := NewClient(ts.URL)
+			c := NewClient(ts.URL).ForManifest(testKey(0))
 			c.backoff = time.Millisecond
 
 			ok, err := tc.op(c)

@@ -104,8 +104,8 @@ func TestQueueReconcilesLeasedAgainstStore(t *testing.T) {
 		t.Fatalf("reconcile counters: reconciled=%d requeues=%d stale=%d, want 1/0/0",
 			st.StoreReconciled, st.Requeues, st.StaleCompletions)
 	}
-	if st.Complete["w0"] != 1 {
-		t.Errorf("holder not credited for the reconciled job: %+v", st.Complete)
+	if st.Workers["w0"].Completed != 1 {
+		t.Errorf("holder not credited for the reconciled job: %+v", st.Workers)
 	}
 	if len(feed) != 1 || feed[0] != claim.Claim.Key {
 		t.Errorf("reconcile did not feed the event log: %v", feed)
@@ -118,8 +118,8 @@ func TestQueueReconcilesLeasedAgainstStore(t *testing.T) {
 	if err := q.Complete(claim.Claim.Job, claim.Claim.Lease, "w0", nil); err != nil {
 		t.Errorf("late Complete after reconcile: %v", err)
 	}
-	if st := q.Stats(); st.Complete["w0"] != 1 || len(feed) != 1 {
-		t.Errorf("late Complete double-counted: %+v, feed %v", st.Complete, feed)
+	if st := q.Stats(); st.Workers["w0"].Completed != 1 || len(feed) != 1 {
+		t.Errorf("late Complete double-counted: %+v, feed %v", st.Workers, feed)
 	}
 	// An expired lease with no stored result still requeues normally.
 	c2 := q.Claim("w1")
@@ -169,11 +169,10 @@ func TestServerEventsAndFigures(t *testing.T) {
 	for _, j := range jobs {
 		folder.known[j.Key] = true
 	}
-	_, c, _ := newTestServer(t, ServerOptions{
-		Jobs: jobs, Lease: time.Minute,
-		Manifest:  []byte(`{"jobs":[]}`),
+	_, c, _ := newQueueServer(t, ServerOptions{
+		Lease:     time.Minute,
 		NewFolder: func([]byte) (FigureFolder, error) { return folder, nil },
-	})
+	}, jobs)
 
 	if evs, err := c.Events(0, 0); err != nil || len(evs) != 0 {
 		t.Fatalf("events before any completion: (%v, %v)", evs, err)
@@ -251,7 +250,7 @@ func TestServerEventsAndFigures(t *testing.T) {
 // (or a manifest the constructor rejected) serves events and the queue
 // but answers 404 on figures.
 func TestServerFiguresWithoutFolder(t *testing.T) {
-	_, c, _ := newTestServer(t, ServerOptions{Jobs: testJobs(1), Lease: time.Minute})
+	_, c, _ := newQueueServer(t, ServerOptions{Lease: time.Minute}, testJobs(1))
 	if _, err := c.FiguresJSON(); err == nil {
 		t.Error("folderless server served partial figures")
 	}
@@ -260,11 +259,10 @@ func TestServerFiguresWithoutFolder(t *testing.T) {
 	}
 	// A rejected manifest degrades the same way instead of failing
 	// registration.
-	_, c2, _ := newTestServer(t, ServerOptions{
-		Jobs: testJobs(1), Lease: time.Minute,
-		Manifest:  []byte(`{"jobs":[]}`),
+	_, c2, _ := newQueueServer(t, ServerOptions{
+		Lease:     time.Minute,
 		NewFolder: func([]byte) (FigureFolder, error) { return nil, fmt.Errorf("not an evaluation manifest") },
-	})
+	}, testJobs(1))
 	if _, err := c2.FiguresJSON(); err == nil {
 		t.Error("rejected-folder server served partial figures")
 	}
@@ -286,12 +284,12 @@ func TestServerEventsSeedFromWarmStore(t *testing.T) {
 	if err := cache.Put(jobs[1].Key, map[string]int{"v": 1}); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(cache, ServerOptions{Jobs: jobs, Lease: time.Minute})
-	tn := srv.tenantFor("")
-	if tn == nil {
-		t.Fatal("no default tenant")
+	srv := NewServer(cache, ServerOptions{Lease: time.Minute})
+	reg, err := srv.Register(jobsManifest(jobs))
+	if err != nil {
+		t.Fatal(err)
 	}
-	evs := tn.events.since(0)
+	evs := srv.tenantFor(reg.Fingerprint).events.since(0)
 	if len(evs) != 1 || evs[0].Key != jobs[1].Key {
 		t.Fatalf("warm-store feed = %+v, want the recovered key", evs)
 	}
@@ -309,11 +307,10 @@ func TestServerLeaseLessCompletionAndIdleRecovery(t *testing.T) {
 		for _, j := range jobs {
 			folder.known[j.Key] = true
 		}
-		_, c, _ := newTestServer(t, ServerOptions{
-			Jobs: jobs, Lease: time.Minute,
-			Manifest:  []byte(`{"jobs":[]}`),
+		_, c, _ := newQueueServer(t, ServerOptions{
+			Lease:     time.Minute,
 			NewFolder: func([]byte) (FigureFolder, error) { return folder, nil },
-		})
+		}, jobs)
 		return c, folder
 	}
 	folded := func(c *Client) int {
@@ -357,9 +354,9 @@ func TestServerLeaseLessCompletionAndIdleRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Done != 3 || st.Recovered != 2 || st.StaleCompletions != 1 || st.Complete["w0"] != 1 {
-		t.Errorf("status: done=%d recovered=%d stale=%d completed=%v, want 3/2/1/w0:1",
-			st.Done, st.Recovered, st.StaleCompletions, st.Complete)
+	if st.Done != 3 || st.Recovered != 2 || st.StaleCompletions != 1 || st.Workers["w0"].Completed != 1 {
+		t.Errorf("status: done=%d recovered=%d stale=%d workers=%v, want 3/2/1/w0 completed 1",
+			st.Done, st.Recovered, st.StaleCompletions, st.Workers)
 	}
 
 	// With a live lease, a pending job's stored entry waits for its

@@ -69,8 +69,8 @@ func FuzzEntryUpload(f *testing.F) {
 	})
 }
 
-// FuzzClaimDecode fuzzes the control-plane decoders (POST /v1/claim
-// and /v1/complete) with arbitrary bodies. Whatever arrives, the
+// FuzzClaimDecode fuzzes the control-plane decoders (POST
+// /m/{fp}/claim and /m/{fp}/complete) with arbitrary bodies. Whatever arrives, the
 // server must answer 200/400/409 (never panic, never 500), any granted
 // claim must be internally consistent with the queue, and the queue's
 // job accounting must stay conserved.
@@ -91,10 +91,14 @@ func FuzzClaimDecode(f *testing.F) {
 			t.Fatal(err)
 		}
 		jobs := testJobs(2)
-		srv := NewServer(cache, ServerOptions{Jobs: jobs, Lease: time.Minute})
-		h := srv.Handler()
+		srv := NewServer(cache, ServerOptions{Lease: time.Minute})
+		reg, err := srv.Register(jobsManifest(jobs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, claim := srv.Handler(), "/m/"+reg.Fingerprint+"/claim"
 
-		for _, path := range []string{"/v1/claim", "/v1/complete"} {
+		for _, path := range []string{claim, "/m/" + reg.Fingerprint + "/complete"} {
 			req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(data))
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, req)
@@ -103,7 +107,7 @@ func FuzzClaimDecode(f *testing.F) {
 			default:
 				t.Fatalf("POST %s answered %d for body %q", path, rec.Code, data)
 			}
-			if path == "/v1/claim" && rec.Code == http.StatusOK {
+			if path == claim && rec.Code == http.StatusOK {
 				var resp ClaimResponse
 				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 					t.Fatalf("claim 200 with undecodable body: %v", err)
@@ -118,16 +122,17 @@ func FuzzClaimDecode(f *testing.F) {
 		}
 		// Conservation: every job is still exactly one of
 		// pending/leased/done, whatever the fuzzer sent.
-		st := srv.Stats()
+		st := srv.tenantFor(reg.Fingerprint).queue.Stats()
 		if st.Pending+st.Leased+st.Done != st.Jobs {
 			t.Fatalf("queue accounting broken: %+v", st)
 		}
 	})
 }
 
-// FuzzHeartbeatDecode fuzzes the heartbeat decoder (POST /v1/heartbeat
-// and its namespaced twin) with arbitrary bodies: the answer is always
-// 200/400/409 — never a panic, never a 5xx — a 409 always carries the
+// FuzzHeartbeatDecode fuzzes the heartbeat decoder (POST
+// /m/{fp}/heartbeat, on a registered and an unknown fingerprint) with
+// arbitrary bodies: the answer is always 200/400/409/404 — never a
+// panic, never a 5xx — a 409 always carries the
 // lease-lost code (it is the route's only conflict), and no body of
 // any shape can corrupt the queue's job accounting or mark a job done.
 func FuzzHeartbeatDecode(f *testing.F) {
@@ -147,14 +152,17 @@ func FuzzHeartbeatDecode(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		jobs := testJobs(2)
-		srv := NewServer(cache, ServerOptions{Jobs: jobs, Lease: time.Minute})
+		srv := NewServer(cache, ServerOptions{Lease: time.Minute})
+		reg, err := srv.Register(jobsManifest(testJobs(2)))
+		if err != nil {
+			t.Fatal(err)
+		}
 		h := srv.Handler()
 		// One held lease, so a lucky fuzz input can land a legal renewal.
-		claimReq := httptest.NewRequest(http.MethodPost, "/v1/claim", bytes.NewReader([]byte(`{"worker":"holder"}`)))
+		claimReq := httptest.NewRequest(http.MethodPost, "/m/"+reg.Fingerprint+"/claim", bytes.NewReader([]byte(`{"worker":"holder"}`)))
 		h.ServeHTTP(httptest.NewRecorder(), claimReq)
 
-		for _, path := range []string{"/v1/heartbeat", "/m/" + testKey(0) + "/heartbeat"} {
+		for _, path := range []string{"/m/" + reg.Fingerprint + "/heartbeat", "/m/" + testKey(0) + "/heartbeat"} {
 			req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(data))
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, req)
@@ -172,7 +180,7 @@ func FuzzHeartbeatDecode(f *testing.F) {
 				}
 			}
 		}
-		st := srv.Stats()
+		st := srv.tenantFor(reg.Fingerprint).queue.Stats()
 		if st.Pending+st.Leased+st.Done != st.Jobs {
 			t.Fatalf("queue accounting broken: %+v", st)
 		}

@@ -341,10 +341,7 @@ type WorkerStats struct {
 	ActiveLeases int     `json:"active_leases"`
 }
 
-// QueueStats is a queue snapshot: totals plus per-worker claim and
-// completion counts (the networked sweep's BENCH row). Claimed and
-// Complete duplicate the per-worker counters of Workers for
-// compatibility with pre-heartbeat consumers.
+// QueueStats is a queue snapshot: totals plus one row per worker.
 type QueueStats struct {
 	Jobs     int `json:"jobs"`
 	Pending  int `json:"pending"`
@@ -367,8 +364,6 @@ type QueueStats struct {
 	StoreReconciled int `json:"store_reconciled"`
 	// Heartbeats is the total lease renewals the queue has granted.
 	Heartbeats int                    `json:"heartbeats"`
-	Claimed    map[string]int         `json:"claimed"`
-	Complete   map[string]int         `json:"completed"`
 	Workers    map[string]WorkerStats `json:"workers,omitempty"`
 }
 
@@ -383,8 +378,7 @@ func (q *Queue) Stats() QueueStats {
 	st := QueueStats{Jobs: len(q.jobs), Requeues: q.requeues,
 		Recovered: q.recovered, StaleCompletions: q.stale,
 		StoreReconciled: q.storeReconciled,
-		Claimed:         map[string]int{}, Complete: map[string]int{},
-		Workers: map[string]WorkerStats{}}
+		Workers:         map[string]WorkerStats{}}
 	leases := map[string]int{}
 	for i := range q.jobs {
 		switch q.state[i] {
@@ -399,12 +393,6 @@ func (q *Queue) Stats() QueueStats {
 	}
 	for name, w := range q.workers {
 		st.Heartbeats += w.heartbeats
-		if w.claimed > 0 {
-			st.Claimed[name] = w.claimed
-		}
-		if w.completed > 0 {
-			st.Complete[name] = w.completed
-		}
 		st.Workers[name] = WorkerStats{
 			Claimed:      w.claimed,
 			Completed:    w.completed,

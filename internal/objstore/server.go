@@ -9,9 +9,11 @@
 // scheduling absorbs stragglers and heterogeneous machines.
 //
 // The server (cmd/rowswap-cached) is a long-lived, multi-tenant
-// evaluation service: any number of manifests can be registered
-// (namespaced by manifest fingerprint, /m/{fp}/...), each with its own
-// work-stealing queue over the one shared content-addressed store.
+// evaluation service: any number of manifests can be registered, each
+// with its own work-stealing queue over the one shared
+// content-addressed store. Every queue route lives under its
+// manifest's fingerprint, /m/{fp}/...; only the store, registration
+// and the service-wide views live under /v1/.
 // Registered manifests are persisted under the store directory and
 // done-ness is rebuilt from the store's existing entries on startup,
 // so a daemon restart mid-sweep resumes where it stopped instead of
@@ -132,15 +134,6 @@ type tenant struct {
 
 // ServerOptions configures NewServer beyond the backing cache.
 type ServerOptions struct {
-	// Manifest is the raw manifest JSON of the default tenant (served
-	// at the legacy /v1/manifest route), so a worker machine needs
-	// nothing but the binary and the server URL. Optional: a service
-	// can start empty and have sweeps registered over HTTP.
-	Manifest []byte
-	// Jobs feeds the default tenant's queue, in manifest job order.
-	// Tests may set Jobs without Manifest; cmd/rowswap-cached sets
-	// both from the -manifest file.
-	Jobs []QueueJob
 	// Lease bounds how long a claimed job stays invisible to other
 	// workers between heartbeats (<= 0: DefaultLease). Shared by every
 	// tenant the server registers.
@@ -168,20 +161,16 @@ type Server struct {
 	mux       *http.ServeMux
 	newFolder func(manifest []byte) (FigureFolder, error)
 
-	mu        sync.RWMutex
-	tenants   map[string]*tenant
-	order     []string // registration order, for stable status output
-	defaultFP string   // tenant the legacy /v1/* queue routes address
+	mu      sync.RWMutex
+	tenants map[string]*tenant
+	order   []string // registration order, for stable status output
 
 	logMu sync.Mutex
 	log   io.Writer
 }
 
-// NewServer builds a server over the given cache directory. When opt
-// carries a manifest (or a bare job list), it becomes the default
-// tenant — registered exactly like an HTTP registration, including
-// done-ness recovery from the store's existing entries, which is what
-// makes a daemon restarted on a warm store resume its sweep.
+// NewServer builds a server over the given cache directory, with no
+// manifest registered: Register (or POST /v1/register) adds each one.
 func NewServer(cache *simcache.Cache, opt ServerOptions) *Server {
 	s := &Server{
 		cache:     cache,
@@ -191,64 +180,46 @@ func NewServer(cache *simcache.Cache, opt ServerOptions) *Server {
 		tenants:   map[string]*tenant{},
 		log:       opt.Log,
 	}
-	if len(opt.Manifest) > 0 || len(opt.Jobs) > 0 {
-		fp, err := ManifestFingerprint(opt.Manifest)
-		if err != nil {
-			// A jobs-only or non-JSON default (tests, legacy callers)
-			// still gets a namespace: fingerprint the job keys.
-			h := sha256.New()
-			for _, j := range opt.Jobs {
-				io.WriteString(h, j.Key)
-			}
-			fp = hex.EncodeToString(h.Sum(nil))
-		}
-		jobs := opt.Jobs
-		if len(jobs) == 0 {
-			jobs, err = decodeManifestJobs(opt.Manifest)
-			if err != nil {
-				jobs = nil
-			}
-		}
-		s.registerTenant(fp, opt.Manifest, jobs, true)
-		s.defaultFP = fp
-	}
-	s.mux.HandleFunc("GET /v1/manifest", s.handleManifest)
 	s.mux.HandleFunc("GET /v1/entry/{key}", s.handleGetEntry)
 	s.mux.HandleFunc("PUT /v1/entry/{key}", s.handlePutEntry)
 	s.mux.HandleFunc("POST /v1/register", s.handleRegister)
 	s.mux.HandleFunc("GET /v1/service", s.handleService)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
-	// Queue control plane, once per addressing mode: the legacy /v1/*
-	// single-manifest routes alias the default tenant; /m/{fp}/* is
-	// the namespaced surface every multi-sweep client uses.
-	s.mux.HandleFunc("POST /v1/claim", s.handleClaim)
-	s.mux.HandleFunc("POST /v1/complete", s.handleComplete)
-	s.mux.HandleFunc("POST /v1/heartbeat", s.handleHeartbeat)
-	s.mux.HandleFunc("GET /v1/status", s.handleStatus)
+	// Queue control plane, one namespace per registered manifest.
+	s.mux.HandleFunc("GET /m/{fp}/manifest", s.handleManifest)
 	s.mux.HandleFunc("POST /m/{fp}/claim", s.handleClaim)
 	s.mux.HandleFunc("POST /m/{fp}/complete", s.handleComplete)
 	s.mux.HandleFunc("POST /m/{fp}/heartbeat", s.handleHeartbeat)
 	s.mux.HandleFunc("GET /m/{fp}/status", s.handleStatus)
-	s.mux.HandleFunc("GET /m/{fp}/manifest", s.handleManifest)
-	s.mux.HandleFunc("GET /v1/events", s.handleEvents)
 	s.mux.HandleFunc("GET /m/{fp}/events", s.handleEvents)
-	s.mux.HandleFunc("GET /v1/figures", s.handleFigures)
 	s.mux.HandleFunc("GET /m/{fp}/figures", s.handleFigures)
 	return s
 }
 
-// registerTenant installs (or finds) the tenant for fp, recovering
-// done-ness from the store and persisting the manifest bytes so a
-// restarted daemon can reload it. Registration is idempotent: an
-// existing tenant is returned untouched, so re-registering a manifest
-// (every worker of a sweep does) never resets a queue mid-flight.
-func (s *Server) registerTenant(fp string, manifest []byte, jobs []QueueJob, isDefault bool) (*tenant, int, bool) {
+// Register registers raw manifest JSON as a tenant, exactly as POST
+// /v1/register does, and reports its fingerprint and job counts. The
+// manifest must list a non-empty, duplicate-free set of jobs keyed by
+// SHA-256 hex digests; any other input is an error and registers
+// nothing. Registration is idempotent: an already-registered manifest
+// (even reformatted) is left untouched and reported Existing, so
+// re-registering one — every worker of a sweep does — never resets a
+// queue mid-flight. A new tenant's done-ness is recovered from the
+// store and its manifest persisted, so a restarted daemon can reload it.
+func (s *Server) Register(raw []byte) (RegisterResponse, error) {
+	fp, err := ManifestFingerprint(raw)
+	if err != nil {
+		return RegisterResponse{}, err
+	}
+	jobs, err := decodeManifestJobs(raw)
+	if err != nil {
+		return RegisterResponse{}, err
+	}
 	s.mu.Lock()
 	if tn, ok := s.tenants[fp]; ok {
 		s.mu.Unlock()
-		return tn, 0, false
+		return RegisterResponse{Fingerprint: fp, Jobs: len(tn.queue.jobs), Existing: true}, nil
 	}
-	tn := &tenant{fp: fp, manifest: manifest, queue: NewQueue(jobs, s.lease), events: newEventLog()}
+	tn := &tenant{fp: fp, manifest: raw, queue: NewQueue(jobs, s.lease), events: newEventLog()}
 	// Hooks are wired before the tenant is published: every done
 	// transition — completions, store reconciliation, and the recovery
 	// pass below — lands in the completion feed, so an events client
@@ -256,8 +227,8 @@ func (s *Server) registerTenant(fp string, manifest []byte, jobs []QueueJob, isD
 	events := tn.events
 	tn.queue.onDone = func(job int, key string) { events.append(key) }
 	tn.queue.stored = s.cache.Has
-	if s.newFolder != nil && len(manifest) > 0 {
-		folder, err := s.newFolder(manifest)
+	if s.newFolder != nil {
+		folder, err := s.newFolder(raw)
 		if err != nil {
 			s.logf("manifest %.12s…: no figure folder (%v); events and queue still served", fp, err)
 		} else {
@@ -269,13 +240,9 @@ func (s *Server) registerTenant(fp string, manifest []byte, jobs []QueueJob, isD
 	s.mu.Unlock()
 
 	recovered := tn.queue.RecoverStored(s.cache.Has)
-	s.persistManifest(fp, manifest)
-	kind := "registered"
-	if isDefault {
-		kind = "registered (default)"
-	}
-	s.logf("%s manifest %.12s…: %d jobs, %d recovered from store", kind, fp, len(jobs), recovered)
-	return tn, recovered, true
+	s.persistManifest(fp, raw)
+	s.logf("registered manifest %.12s…: %d jobs, %d recovered from store", fp, len(jobs), recovered)
+	return RegisterResponse{Fingerprint: fp, Jobs: len(jobs), Recovered: recovered}, nil
 }
 
 // persistManifest best-effort writes the manifest bytes under the
@@ -284,7 +251,7 @@ func (s *Server) registerTenant(fp string, manifest []byte, jobs []QueueJob, isD
 // to pre-restartable behavior, never breaks the live sweep.
 func (s *Server) persistManifest(fp string, manifest []byte) {
 	dir := s.cache.Dir()
-	if dir == "" || len(manifest) == 0 {
+	if dir == "" {
 		return
 	}
 	mdir := filepath.Join(dir, manifestSubdir)
@@ -327,12 +294,12 @@ func (s *Server) LoadPersisted() int {
 			s.logf("reload %s: not a persisted manifest (fingerprint mismatch); skipping", e.Name())
 			continue
 		}
-		jobs, err := decodeManifestJobs(raw)
+		reg, err := s.Register(raw)
 		if err != nil {
 			s.logf("reload %s: %v", e.Name(), err)
 			continue
 		}
-		if _, _, fresh := s.registerTenant(fp, raw, jobs, false); fresh {
+		if !reg.Existing {
 			n++
 		}
 	}
@@ -341,15 +308,6 @@ func (s *Server) LoadPersisted() int {
 
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Stats snapshots the default tenant's queue (exposed for the daemon's
-// shutdown summary; remote callers use GET /v1/status or /v1/service).
-func (s *Server) Stats() QueueStats {
-	if tn := s.tenantFor(""); tn != nil {
-		return tn.queue.Stats()
-	}
-	return QueueStats{Claimed: map[string]int{}, Complete: map[string]int{}, Workers: map[string]WorkerStats{}}
-}
 
 // Jobs returns the total job count across every registered tenant.
 func (s *Server) Jobs() int {
@@ -362,19 +320,13 @@ func (s *Server) Jobs() int {
 	return n
 }
 
-// tenantFor resolves a request's tenant: the path's {fp} value, or the
-// default tenant for the legacy /v1/* routes (fp == ""). nil means the
-// fingerprint is unknown — the caller answers 404 so the client can
-// tell "wrong daemon / not registered" from a malformed request.
+// tenantFor resolves a request's tenant from the path's {fp} value.
+// nil means the fingerprint is unknown — the caller answers 404 so the
+// client can tell "wrong daemon / not registered" from a malformed
+// request.
 func (s *Server) tenantFor(fp string) *tenant {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if fp == "" {
-		fp = s.defaultFP
-		if fp == "" {
-			return nil
-		}
-	}
 	return s.tenants[fp]
 }
 
@@ -437,17 +389,13 @@ func writeJSON(w http.ResponseWriter, v any) {
 // unknownTenant answers a queue-route request whose fingerprint no
 // registered manifest matches.
 func unknownTenant(w http.ResponseWriter, fp string) {
-	if fp == "" {
-		httpError(w, http.StatusNotFound, "this server has no default manifest; register one (POST /v1/register) and use /m/{fingerprint}/ routes")
-		return
-	}
 	httpError(w, http.StatusNotFound, "no manifest with fingerprint %.12s… is registered; POST it to /v1/register first", fp)
 }
 
 func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 	tn := s.tenantFor(r.PathValue("fp"))
-	if tn == nil || len(tn.manifest) == 0 {
-		httpError(w, http.StatusNotFound, "no manifest registered for this route")
+	if tn == nil {
+		unknownTenant(w, r.PathValue("fp"))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -516,23 +464,12 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "reading manifest body: %v", err)
 		return
 	}
-	fp, err := ManifestFingerprint(raw)
+	reg, err := s.Register(raw)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	jobs, err := decodeManifestJobs(raw)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	tn, recovered, fresh := s.registerTenant(fp, raw, jobs, false)
-	writeJSON(w, RegisterResponse{
-		Fingerprint: tn.fp,
-		Jobs:        len(tn.queue.jobs),
-		Recovered:   recovered,
-		Existing:    !fresh,
-	})
+	writeJSON(w, reg)
 }
 
 // claimRequest is a worker's claim body.
@@ -740,7 +677,6 @@ func (s *Server) handleFigures(w http.ResponseWriter, r *http.Request) {
 // status: its fingerprint plus the full queue snapshot.
 type ManifestStatus struct {
 	Fingerprint string `json:"fingerprint"`
-	Default     bool   `json:"default,omitempty"`
 	QueueStats
 }
 
@@ -759,7 +695,6 @@ type ServiceStatus struct {
 func (s *Server) serviceStatus() ServiceStatus {
 	s.mu.RLock()
 	order := append([]string(nil), s.order...)
-	defaultFP := s.defaultFP
 	s.mu.RUnlock()
 
 	st := ServiceStatus{Workers: map[string]WorkerStats{}}
@@ -769,7 +704,7 @@ func (s *Server) serviceStatus() ServiceStatus {
 			continue
 		}
 		qs := tn.queue.Stats()
-		st.Manifests = append(st.Manifests, ManifestStatus{Fingerprint: fp, Default: fp == defaultFP, QueueStats: qs})
+		st.Manifests = append(st.Manifests, ManifestStatus{Fingerprint: fp, QueueStats: qs})
 		for name, ws := range qs.Workers {
 			merged, ok := st.Workers[name]
 			if !ok {

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -29,6 +30,24 @@ func newTestServer(t *testing.T, opt ServerOptions) (*Server, *Client, *simcache
 	c := NewClient(ts.URL)
 	c.backoff = time.Millisecond
 	return srv, c, cache
+}
+
+// newQueueServer is newTestServer with a manifest listing jobs
+// registered, and its client bound to that manifest.
+func newQueueServer(t *testing.T, opt ServerOptions, jobs []QueueJob) (*Server, *Client, *simcache.Cache) {
+	t.Helper()
+	srv, c, cache := newTestServer(t, opt)
+	reg, err := srv.Register(jobsManifest(jobs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv, c.ForManifest(reg.Fingerprint), cache
+}
+
+// jobsManifest is raw manifest JSON listing jobs and nothing else.
+func jobsManifest(jobs []QueueJob) []byte {
+	raw, _ := json.Marshal(map[string]any{"jobs": jobs})
+	return raw
 }
 
 // TestServerEntryRoundTrip proves the push/pull path preserves entries
@@ -138,7 +157,7 @@ func TestServerPutStoreFailureIs5xx(t *testing.T) {
 // is pushed — the full work-stealing protocol minus the simulator.
 func TestServerQueueOverHTTP(t *testing.T) {
 	jobs := testJobs(5)
-	srv, c, _ := newTestServer(t, ServerOptions{Jobs: jobs, Lease: time.Minute})
+	_, c, _ := newQueueServer(t, ServerOptions{Lease: time.Minute}, jobs)
 	done := 0
 	workers := []string{"w0", "w1"}
 	for i := 0; ; i++ {
@@ -171,29 +190,90 @@ func TestServerQueueOverHTTP(t *testing.T) {
 	if st.Done != len(jobs) || st.Pending != 0 || st.Leased != 0 {
 		t.Errorf("status after drain: %+v", st)
 	}
-	if st.Claimed["w0"]+st.Claimed["w1"] != len(jobs) {
-		t.Errorf("per-worker claims do not sum to the job count: %+v", st.Claimed)
-	}
-	if got := srv.Stats(); got.Done != len(jobs) {
-		t.Errorf("server-side stats disagree: %+v", got)
+	if st.Workers["w0"].Claimed+st.Workers["w1"].Claimed != len(jobs) {
+		t.Errorf("per-worker claims do not sum to the job count: %+v", st.Workers)
 	}
 }
 
-// TestServerManifest serves the bytes it was started with, 404s
-// without one.
+// TestServerManifest serves the bytes a manifest was registered with
+// under its fingerprint, and 404s for a fingerprint nobody registered.
 func TestServerManifest(t *testing.T) {
-	manifest := []byte(`{"schema":2,"jobs":[]}`)
-	_, c, _ := newTestServer(t, ServerOptions{Manifest: manifest})
-	got, err := c.ManifestJSON()
+	manifest := testManifest(0, 2)
+	srv, c, _ := newTestServer(t, ServerOptions{})
+	reg, err := srv.Register(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.ForManifest(reg.Fingerprint).ManifestJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != string(manifest) {
 		t.Errorf("manifest %q != %q", got, manifest)
 	}
-	_, c2, _ := newTestServer(t, ServerOptions{})
-	if _, err := c2.ManifestJSON(); err == nil {
-		t.Error("manifest-less server served a manifest")
+	if _, err := c.ForManifest(testKey(99)).ManifestJSON(); !notFound(err) {
+		t.Errorf("unregistered fingerprint: err = %v, want a 404", err)
+	}
+}
+
+// TestServerServesNoUnnamespacedQueue: every queue route lives under
+// /m/{fp}, so the single-manifest /v1/* routes are gone (404, or 405
+// where another method shares the path), and a client bound to no
+// manifest fails its queue calls without sending a request.
+func TestServerServesNoUnnamespacedQueue(t *testing.T) {
+	srv, _, _ := newQueueServer(t, ServerOptions{Lease: time.Minute}, testJobs(2))
+	for _, tc := range []struct{ method, path string }{
+		{http.MethodGet, "/v1/manifest"},
+		{http.MethodPost, "/v1/claim"},
+		{http.MethodPost, "/v1/complete"},
+		{http.MethodPost, "/v1/heartbeat"},
+		{http.MethodGet, "/v1/status"},
+		{http.MethodGet, "/v1/events"},
+		{http.MethodGet, "/v1/figures"},
+	} {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, strings.NewReader(`{"worker":"w"}`)))
+		if rec.Code != http.StatusNotFound && rec.Code != http.StatusMethodNotAllowed {
+			t.Errorf("%s %s answered %d, want 404 or 405", tc.method, tc.path, rec.Code)
+		}
+	}
+
+	var requests atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { requests.Add(1) }))
+	defer ts.Close()
+	if _, err := NewClient(ts.URL).ClaimJob("w"); err == nil || !strings.Contains(err.Error(), "not namespaced") {
+		t.Errorf("unbound ClaimJob: err = %v, want a namespacing error", err)
+	}
+	if n := requests.Load(); n != 0 {
+		t.Errorf("unbound ClaimJob sent %d requests, want none", n)
+	}
+}
+
+// TestClientSoleManifest binds a client to the daemon's manifest when
+// it serves exactly one, and otherwise fails naming what it found.
+func TestClientSoleManifest(t *testing.T) {
+	srv, c, _ := newTestServer(t, ServerOptions{})
+	if _, err := c.SoleManifest(); err == nil || !strings.Contains(err.Error(), "serves 0 manifests") {
+		t.Errorf("no manifest registered: err = %v, want one saying so", err)
+	}
+	regA, err := srv.Register(testManifest(10, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, err := c.SoleManifest()
+	if err != nil || bound.Fingerprint() != regA.Fingerprint {
+		t.Fatalf("one manifest registered: bound to %q, %v; want %q", bound.Fingerprint(), err, regA.Fingerprint)
+	}
+	if st, err := bound.Status(); err != nil || st.Jobs != 2 {
+		t.Errorf("bound client's status: %+v, %v", st, err)
+	}
+	regB, err := srv.Register(testManifest(40, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.SoleManifest()
+	if err == nil || !strings.Contains(err.Error(), regA.Fingerprint) || !strings.Contains(err.Error(), regB.Fingerprint) {
+		t.Errorf("two manifests registered: err = %v, want one naming both fingerprints", err)
 	}
 }
 
@@ -362,10 +442,6 @@ func TestServerNamespaceIsolation(t *testing.T) {
 	if _, err := c.ForManifest(testKey(99)).ClaimJob("w"); err == nil {
 		t.Error("claim against an unregistered fingerprint succeeded")
 	}
-	// The manifest-less daemon has no default tenant for legacy routes.
-	if _, err := c.ClaimJob("w"); err == nil {
-		t.Error("legacy claim succeeded on a daemon with no default manifest")
-	}
 }
 
 // TestServerWarmStoreRecovery: a fresh Server built over a cache that
@@ -387,20 +463,25 @@ func TestServerWarmStoreRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv := NewServer(cache, ServerOptions{Manifest: raw, Lease: time.Minute})
-	st := srv.Stats()
-	if st.Recovered != 2 || st.Done != 2 || st.Pending != 2 {
-		t.Fatalf("warm-store stats: %+v", st)
+	srv := NewServer(cache, ServerOptions{Lease: time.Minute})
+	reg, err := srv.Register(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := srv.tenantFor(reg.Fingerprint).queue
+	st := q.Stats()
+	if reg.Recovered != 2 || st.Recovered != 2 || st.Done != 2 || st.Pending != 2 {
+		t.Fatalf("warm-store registration %+v, stats: %+v", reg, st)
 	}
 	// Claims hand out only the unstored jobs, then report done.
 	got := map[string]bool{}
 	for {
-		resp := srv.tenantFor("").queue.Claim("w")
+		resp := q.Claim("w")
 		if resp.Status != ClaimJob {
 			break
 		}
 		got[resp.Claim.Key] = true
-		if err := srv.tenantFor("").queue.Complete(resp.Claim.Job, resp.Claim.Lease, "w", nil); err != nil {
+		if err := q.Complete(resp.Claim.Job, resp.Claim.Lease, "w", nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -486,7 +567,7 @@ func TestServerLoadPersisted(t *testing.T) {
 // real client — renewal succeeds on a held lease, and every flavor of
 // gone lease surfaces as the typed ErrLeaseLost.
 func TestServerHeartbeatOverHTTP(t *testing.T) {
-	_, c, _ := newTestServer(t, ServerOptions{Jobs: testJobs(1), Lease: time.Minute})
+	_, c, _ := newQueueServer(t, ServerOptions{Lease: time.Minute}, testJobs(1))
 	claim, err := c.ClaimJob("w0")
 	if err != nil || claim.Status != ClaimJob {
 		t.Fatalf("claim: %+v, %v", claim, err)

@@ -12,74 +12,59 @@ import (
 	"repro/internal/simcache"
 )
 
-// runKey identifies one matrix cell's simulation inside this process:
-// simcache.RunKey's inputs without the binary hash, which cannot change
-// while the process runs. A process resolves a workload name to one
-// profile per core count (and the core count is in the System), while
-// config.System and sim.Options are all scalars, so the key is
-// comparable and two cells share it exactly when they share a RunKey.
-type runKey struct {
-	workload string
-	sys      config.System
-	opt      sim.Options
-}
-
-type runEntry struct {
-	once sync.Once
-	res  *sim.Result
-	err  error
-}
-
-// runMemo shares simulation results across every matrix in the process:
-// figures overlap heavily — every one normalizes against the same
-// baselines, and Figs. 12/14/15 and the comparators repeat mitigated
-// configs — so a full figure sweep simulates each distinct cell once,
-// deduplicated exactly like PerfOptions.PlanEvaluation. Entries are
-// deterministic, so memoizing cannot change any normalized number.
-var runMemo sync.Map // runKey -> *runEntry
-
-// CellStats counts, process-wide, how the memoized matrix cells were
-// resolved. Cells served by the persistent cache count as none of
-// Simulated, Derived and Resumed.
-type CellStats struct {
-	// Simulated cells ran sim.Run; Derived ones were relabelled from
-	// their baseline (sim.Derive, or sim.Resume when the tracker never
-	// acts); Resumed ones restarted from a baseline checkpoint
-	// (sim.Resume).
-	Simulated, Derived, Resumed int64
-	// Instructions is how many budgeted instructions the simulated and
-	// resumed cells ran through the kernel: a resumed cell counts only
-	// those after its checkpoint.
-	Instructions int64
-}
-
-var cellStats struct {
-	simulated, derived, resumed, instructions atomic.Int64
-}
+// resolver resolves every matrix cell of the process (runCell) and
+// memoizes each one, the baselines' tapes included. Figures overlap
+// heavily — every one normalizes against the same baselines, and Figs.
+// 12/14/15 and the comparators repeat mitigated configs — so a full
+// figure sweep resolves each distinct cell once, deduplicated exactly
+// like PerfOptions.PlanEvaluation. Results are deterministic, so
+// memoizing cannot change any normalized number. caches holds the
+// persistent cache opened for each CacheDir, so that a process scans a
+// directory once and appends to one segment of it.
+var (
+	resolver simcache.Resolver
+	retired  simcache.Counts // the counts of the resolvers ResetRunMemo dropped
+	caches   sync.Map        // CacheDir -> *simcache.Cache
+)
 
 // CellCounts returns how this process has resolved its matrix cells.
-// The counts are cumulative; ResetRunMemo does not clear them.
-func CellCounts() CellStats {
-	return CellStats{
-		Simulated:    cellStats.simulated.Load(),
-		Derived:      cellStats.derived.Load(),
-		Resumed:      cellStats.resumed.Load(),
-		Instructions: cellStats.instructions.Load(),
+// Cells served by the persistent cache count as none of Simulated,
+// Derived and Resumed. The counts are cumulative; ResetRunMemo does
+// not clear them.
+func CellCounts() simcache.Counts {
+	c := resolver.Counts()
+	return simcache.Counts{
+		Simulated:    retired.Simulated + c.Simulated,
+		Derived:      retired.Derived + c.Derived,
+		Resumed:      retired.Resumed + c.Resumed,
+		Instructions: retired.Instructions + c.Instructions,
 	}
 }
 
-// resolver resolves every matrix cell of the process (runCell). Its
-// memo keeps each baseline, with the tape its siblings resume from,
-// for the whole process, like runMemo.
-var resolver simcache.Resolver
-
-// ResetRunMemo drops every process-wide memoized cell result. It exists
-// for tests and benchmarks that need to model a fresh process — e.g. to
-// prove the persistent cache alone can serve a matrix, or to make every
-// timed iteration simulate — and has no place in normal use.
+// ResetRunMemo drops every process-wide memoized cell result and opened
+// cache. It exists for tests and benchmarks that need to model a fresh
+// process — e.g. to prove the persistent cache alone can serve a
+// matrix, or to make every timed iteration simulate — and has no place
+// in normal use.
 func ResetRunMemo() {
-	runMemo = sync.Map{}
+	retired = CellCounts()
 	resolver = simcache.Resolver{}
+	caches = sync.Map{}
+}
+
+// openCache returns the persistent cache rooted at dir, opening it on
+// the process's first use of dir. Of two first uses racing, one's
+// Cache is kept and the other's, which has written nothing, dropped.
+func openCache(dir string) (*simcache.Cache, error) {
+	if c, ok := caches.Load(dir); ok {
+		return c.(*simcache.Cache), nil
+	}
+	c, err := simcache.Open(dir)
+	if err != nil {
+		return nil, err
+	}
+	v, _ := caches.LoadOrStore(dir, c)
+	return v.(*simcache.Cache), nil
 }
 
 // runCell returns the cell's result, resolving it at most once per
@@ -89,33 +74,15 @@ func ResetRunMemo() {
 // when sim.Resume can. The persistent cache, when enabled, additionally
 // carries every result across process invocations.
 func runCell(c MatrixCell, opt sim.Options, cache *simcache.Cache) (*sim.Result, error) {
-	key := runKey{workload: c.Workload.Name, sys: c.System, opt: opt.Normalized(c.System)}
-	e, _ := runMemo.LoadOrStore(key, &runEntry{})
-	entry := e.(*runEntry)
-	entry.once.Do(func() {
-		if sim.Derivable(c.System.Mitigation) {
-			// Resolve the baseline as a cell of its own first (every
-			// matrix row needs it anyway), so that it is counted once,
-			// whichever cell needs it first.
-			base := c
-			base.System.Mitigation = config.Mitigation{}
-			runCell(base, opt, cache)
+	res, _, err := resolver.Resolve(simcache.BestEffort(cache), c.Workload, c.System, opt)
+	if err != nil {
+		label := c.Label
+		if label == "" {
+			label = "baseline"
 		}
-		var how simcache.Resolution
-		entry.res, how, entry.err = resolver.Resolve(simcache.BestEffort(cache), c.Workload, c.System, opt)
-		switch {
-		case entry.err != nil:
-		case how == simcache.Simulated:
-			cellStats.simulated.Add(1)
-			cellStats.instructions.Add(entry.res.Instructions)
-		case how == simcache.Derived:
-			cellStats.derived.Add(1)
-		case how == simcache.Resumed:
-			cellStats.resumed.Add(1)
-			cellStats.instructions.Add(entry.res.Resume.Instructions)
-		}
-	})
-	return entry.res, entry.err
+		err = fmt.Errorf("%s %s: %w", label, c.Workload.Name, err)
+	}
+	return res, err
 }
 
 // runMatrix evaluates each workload under a baseline plus the given
@@ -138,7 +105,7 @@ func runMatrix(opt PerfOptions, configs map[string]config.Mitigation) ([]PerfRow
 	var cache *simcache.Cache
 	if opt.CacheDir != "" {
 		var err error
-		if cache, err = simcache.Open(opt.CacheDir); err != nil {
+		if cache, err = openCache(opt.CacheDir); err != nil {
 			cache = nil
 			if opt.Progress != nil {
 				fmt.Fprintf(opt.Progress, "  cache disabled: %v\n", err)
@@ -157,22 +124,8 @@ func runMatrix(opt PerfOptions, configs map[string]config.Mitigation) ([]PerfRow
 		}
 	}
 
-	type cell struct {
-		res *sim.Result
-		err error
-	}
-	results := make([]cell, len(jobs))
-	run := func(j MatrixCell) cell {
-		res, err := runCell(j, plan.Sim, cache)
-		if err != nil {
-			label := j.Label
-			if label == "" {
-				label = "baseline"
-			}
-			err = fmt.Errorf("%s %s: %w", label, j.Workload.Name, err)
-		}
-		return cell{res, err}
-	}
+	results := make([]*sim.Result, len(jobs))
+	errs := make([]error, len(jobs))
 
 	workers := opt.Workers
 	if workers <= 0 {
@@ -203,8 +156,8 @@ func runMatrix(opt PerfOptions, configs map[string]config.Mitigation) ([]PerfRow
 					return
 				}
 				i := order[n]
-				results[i] = run(jobs[i])
-				if results[i].err != nil {
+				results[i], errs[i] = runCell(jobs[i], plan.Sim, cache)
+				if errs[i] != nil {
 					failed.Store(true)
 					return
 				}
@@ -215,13 +168,13 @@ func runMatrix(opt PerfOptions, configs map[string]config.Mitigation) ([]PerfRow
 				wi := jobs[i].WorkloadIndex
 				pending[wi]--
 				if pending[wi] == 0 {
-					if rb := results[wi*stride].res; rb != nil {
+					if rb := results[wi*stride]; rb != nil {
 						// Name the cells derived from this baseline or
 						// resumed from one of its checkpoints instead
 						// of simulated (see runCell).
 						var derived, resumed []string
 						for li, l := range plan.Labels {
-							switch r := results[wi*stride+1+li].res; {
+							switch r := results[wi*stride+1+li]; {
 							case r == nil:
 							case r.Derived():
 								derived = append(derived, l)
@@ -247,16 +200,11 @@ func runMatrix(opt PerfOptions, configs map[string]config.Mitigation) ([]PerfRow
 	wg.Wait()
 
 	if failed.Load() {
-		for _, c := range results {
-			if c.err != nil {
-				return nil, c.err
+		for _, err := range errs {
+			if err != nil {
+				return nil, err
 			}
 		}
 	}
-
-	flat := make([]*sim.Result, len(results))
-	for i := range results {
-		flat[i] = results[i].res
-	}
-	return plan.Rows(flat)
+	return plan.Rows(results)
 }

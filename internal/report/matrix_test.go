@@ -1,6 +1,7 @@
 package report
 
 import (
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -47,10 +48,10 @@ func TestSerialAndParallelMatrixIdentical(t *testing.T) {
 
 // TestRunMemoMatchesEvaluationPlan is the dedupe contract of the
 // process-wide memo: running every performance figure in one process
-// simulates exactly the evaluation plan's deduplicated cells (two cells
-// share a memo entry exactly when they share a RunKey), and memoizing
-// changes no number — every figure's rows equal those of a fresh-memo
-// run of that figure alone.
+// resolves exactly the evaluation plan's deduplicated cells, each once
+// (two cells share a memo entry exactly when they share a RunKey), and
+// memoizing changes no number — every figure's rows equal those of a
+// fresh-memo run of that figure alone.
 func TestRunMemoMatchesEvaluationPlan(t *testing.T) {
 	opts := matrixOpts(0)
 	opts.Workloads = []string{"gcc", "mcf"}
@@ -66,6 +67,7 @@ func TestRunMemoMatchesEvaluationPlan(t *testing.T) {
 	}
 
 	ResetRunMemo()
+	c0 := CellCounts()
 	shared := make([][]PerfRow, len(figs))
 	for i, f := range figs {
 		rows, err := runMatrix(opts, f.Configs)
@@ -75,10 +77,12 @@ func TestRunMemoMatchesEvaluationPlan(t *testing.T) {
 		shared[i] = rows
 	}
 	plan := opts.PlanEvaluation(figs)
-	entries := 0
-	runMemo.Range(func(any, any) bool { entries++; return true })
-	if want := len(plan.Cells); entries != want {
-		t.Errorf("memo holds %d entries after all figures, want the plan's %d deduplicated cells (of %d figure cells)",
+	// Without a persistent cache every resolution simulates, derives or
+	// resumes, so the counts are the memo's entries.
+	c1 := CellCounts()
+	entries := (c1.Simulated - c0.Simulated) + (c1.Derived - c0.Derived) + (c1.Resumed - c0.Resumed)
+	if want := int64(len(plan.Cells)); entries != want {
+		t.Errorf("the memo resolved %d cells after all figures, want the plan's %d deduplicated cells (of %d figure cells)",
 			entries, want, plan.TotalFigureCells())
 	}
 
@@ -176,6 +180,48 @@ func TestMatrixWithPersistentCacheIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(plain, warm) {
 		t.Errorf("warm-cache rows differ from uncached rows:\n%v\nvs\n%v", warm, plain)
+	}
+}
+
+// TestMatrixOpensCacheDirOnce: the figure calls of one process share
+// the cache they opened for a CacheDir, so two figures that each store
+// new cells append them to one segment, and their rows are those of an
+// uncached run.
+func TestMatrixOpensCacheDirOnce(t *testing.T) {
+	opts := matrixOpts(2)
+	opts.Workloads = []string{"gcc"}
+	opts.Sim.Instructions = 30_000
+	figs := []map[string]config.Mitigation{
+		{"rrs": config.DefaultRRS(1200)},
+		{"scale-srs": config.DefaultScaleSRS(1200)},
+	}
+	ResetRunMemo()
+	var plain [][]PerfRow
+	for _, f := range figs {
+		rows, err := runMatrix(opts, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain = append(plain, rows)
+	}
+
+	opts.CacheDir = t.TempDir()
+	ResetRunMemo()
+	for i, f := range figs {
+		rows, err := runMatrix(opts, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rows, plain[i]) {
+			t.Errorf("figure %d: cached rows differ from uncached rows:\n%v\nvs\n%v", i, rows, plain[i])
+		}
+	}
+	segs, err := filepath.Glob(filepath.Join(opts.CacheDir, "seg-*.pack"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != 1 {
+		t.Errorf("two figure calls left %d segments in their cache directory, want 1: %v", len(segs), segs)
 	}
 }
 

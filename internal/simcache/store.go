@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/config"
 	"repro/internal/sim"
@@ -66,7 +67,7 @@ const (
 	// checkpoints (sim.Resume).
 	Resumed
 	// Memoized: an earlier or concurrent call of the same Resolver
-	// resolved this baseline; the result is that call's.
+	// resolved this cell; the result is that call's.
 	Memoized
 )
 
@@ -87,25 +88,28 @@ func (r Resolution) String() string {
 	return fmt.Sprintf("Resolution(%d)", int(r))
 }
 
-// Resolver resolves simulation cells against a Store. A cell already in
-// the store is read. An unprotected baseline is otherwise simulated
-// with sim.RunTaped, once per Resolver however many callers ask at once
-// (later callers wait and get Memoized), and the Resolver keeps it,
-// tape included, for as long as the Resolver lives. A mitigated cell
-// sim.Derivable covers is built from its baseline, which the Resolver
-// resolves first, by sim.Resume: Derive's bound, then a replay of the
-// baseline's tape, then a restart from one of its checkpoints. It is
-// simulated only when Resume refuses, e.g. because its baseline came
-// from the store without a tape. Every result, a baseline resolved for
-// a sibling included, is then Put under its RunKey; a failed Put is an
-// error (wrap a local cache in BestEffort to ignore it).
+// Resolver resolves simulation cells against a Store, each cell once
+// per Resolver however many callers ask at once: later callers wait and
+// get Memoized, with the first call's result or error, for as long as
+// the Resolver lives. A cell already in the store is read. An
+// unprotected baseline is otherwise simulated with sim.RunTaped, and
+// the Resolver keeps it, tape included. A mitigated cell sim.Derivable
+// covers is built from its baseline, which the Resolver resolves first,
+// by sim.Resume: Derive's bound, then a replay of the baseline's tape,
+// then a restart from one of its checkpoints. It is simulated only when
+// Resume refuses, e.g. because its baseline came from the store without
+// a tape. Every result, a baseline resolved for a sibling included, is
+// then Put under its RunKey; a failed Put is an error (wrap a local
+// cache in BestEffort to ignore it).
 //
-// The memo trusts that a baseline it resolved is in the store. Where
-// every result must land in the store, as a sweep's must, scope a
-// Resolver to that store: a sweep worker holds one per call, not one
-// per process. The zero Resolver is ready to use.
+// The memo trusts that a cell it resolved is in the store. Where every
+// result must land in the store, as a sweep's must, scope a Resolver to
+// that store: a sweep worker holds one per call, not one per process.
+// The zero Resolver is ready to use.
 type Resolver struct {
-	baselines sync.Map // RunKey -> *flight
+	cells sync.Map // RunKey -> *flight
+
+	simulated, derived, resumed, instructions atomic.Int64
 }
 
 type flight struct {
@@ -114,16 +118,37 @@ type flight struct {
 	err  error
 }
 
+// Counts says how a Resolver resolved its cells. Cells read from the
+// store count as none of Simulated, Derived and Resumed.
+type Counts struct {
+	// Simulated cells ran sim.Run; Derived ones were relabelled from
+	// their baseline (sim.Derive, or sim.Resume when the tracker never
+	// acts); Resumed ones restarted from a baseline checkpoint
+	// (sim.Resume).
+	Simulated, Derived, Resumed int64
+	// Instructions is how many budgeted instructions the simulated and
+	// resumed cells ran through the kernel: a resumed cell counts only
+	// those after its checkpoint.
+	Instructions int64
+}
+
+// Counts returns how many cells r has simulated, derived and resumed.
+func (r *Resolver) Counts() Counts {
+	return Counts{
+		Simulated:    r.simulated.Load(),
+		Derived:      r.derived.Load(),
+		Resumed:      r.resumed.Load(),
+		Instructions: r.instructions.Load(),
+	}
+}
+
 // Resolve returns the result of sim.Run(w, sys, opt), resolved from s
 // as the Resolver doc says, and how it was resolved. Results are
 // deterministic functions of their inputs, so the result is Run's
 // whichever way it was resolved, host instrumentation aside.
 func (r *Resolver) Resolve(s Store, w trace.Workload, sys config.System, opt sim.Options) (*sim.Result, Resolution, error) {
 	key := RunKey(w, sys, opt)
-	if sys != baselineOf(sys) {
-		return r.resolve(s, key, w, sys, opt)
-	}
-	v, _ := r.baselines.LoadOrStore(key, &flight{})
+	v, _ := r.cells.LoadOrStore(key, &flight{})
 	f := v.(*flight)
 	how := Memoized
 	f.once.Do(func() { f.res, how, f.err = r.resolve(s, key, w, sys, opt) })
@@ -146,6 +171,16 @@ func (r *Resolver) resolve(s Store, key string, w trace.Workload, sys config.Sys
 	}
 	if err := s.Put(key, res); err != nil {
 		return nil, how, fmt.Errorf("simcache: store result for key %.12s…: %w", key, err)
+	}
+	switch how {
+	case Simulated:
+		r.simulated.Add(1)
+		r.instructions.Add(res.Instructions)
+	case Derived:
+		r.derived.Add(1)
+	case Resumed:
+		r.resumed.Add(1)
+		r.instructions.Add(res.Resume.Instructions)
 	}
 	return res, how, nil
 }

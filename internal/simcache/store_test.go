@@ -34,11 +34,12 @@ func (s *countingStore) Put(key string, v any) error {
 }
 
 // TestStoreRunnersCallBudget pins the store traffic of the two sweep
-// job runners, which a work-stealing job pays over the network. Every
-// cell first reads its own key, and a hit stops there. A miss writes
-// its key. A derivable cell reads its baseline only when its Resolver
-// has not resolved the baseline yet, and writes the baseline too when
-// the store lacks it.
+// job runners, which a work-stealing job pays over the network. A cell
+// its Resolver already resolved costs nothing. Every other cell first
+// reads its own key, and a hit stops there. A miss writes its key. A
+// derivable cell reads its baseline only when its Resolver has not
+// resolved the baseline yet, and writes the baseline too when the
+// store lacks it.
 func TestStoreRunnersCallBudget(t *testing.T) {
 	c, err := Open(t.TempDir())
 	if err != nil {
@@ -69,13 +70,15 @@ func TestStoreRunnersCallBudget(t *testing.T) {
 	_, how, err = r.Resolve(s, w, sys, opt)
 	check("a derivable cell", how, Derived, err, "get "+cell, "put "+cell)
 	_, how, err = r.Resolve(s, w, sys, opt)
-	check("a stored cell", how, Stored, err, "get "+cell)
+	check("a resolved cell", how, Memoized, err)
 	_, how, err = r.Resolve(s, w, baselineOf(sys), opt)
 	check("a resolved baseline", how, Memoized, err)
 
-	// A fresh Resolver (another worker) reads the stored baseline once
-	// for its first derivable cell.
+	// A fresh Resolver (another worker) reads a stored cell, and reads
+	// the stored baseline once for its first derivable cell.
 	var fresh Resolver
+	_, how, err = fresh.Resolve(s, w, sys, opt)
+	check("a stored cell", how, Stored, err, "get "+cell)
 	_, how, err = fresh.Resolve(s, w, other, opt)
 	check("another worker's derivable cell", how, Derived, err, "get "+otherCell, "get "+base, "put "+otherCell)
 
@@ -102,42 +105,61 @@ func TestStoreRunnersCallBudget(t *testing.T) {
 	check("a stored trial batch", how, Stored, err, "get "+mc)
 }
 
-// TestResolverSimulatesABaselineOnce asks one Resolver for one
-// baseline from two goroutines at once: one simulation and one Put
-// serve both, and the other caller is told it was memoized.
+// TestResolverSimulatesABaselineOnce asks one Resolver for one cell
+// from two goroutines at once, for a baseline and for a mitigated cell:
+// one resolution and one Put of the cell serve both callers, the other
+// caller is told it was memoized, and the Resolver counts each
+// resolution once (the mitigated cell's baseline, simulated first,
+// included).
 func TestResolverSimulatesABaselineOnce(t *testing.T) {
-	c, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &countingStore{c: c}
-	w, base, opt := testWorkload(t), baselineOf(testSys()), testOpts()
-	var r Resolver
-	start := make(chan struct{})
-	results := make([]*sim.Result, 2)
-	hows := make([]Resolution, 2)
-	var wg sync.WaitGroup
-	for i := range results {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			var err error
-			if results[i], hows[i], err = r.Resolve(s, w, base, opt); err != nil {
-				t.Error(err)
+	w, sys, opt := testWorkload(t), testSys(), testOpts()
+	cell, base := RunKey(w, sys, opt), RunKey(w, baselineOf(sys), opt)
+	for _, tc := range []struct {
+		name  string
+		sys   config.System
+		how   Resolution
+		calls []string
+		count Counts
+	}{
+		{"baseline", baselineOf(sys), Simulated, []string{"get " + base, "put " + base}, Counts{Simulated: 1}},
+		{"mitigated", sys, Derived, []string{"get " + cell, "get " + base, "put " + base, "put " + cell}, Counts{Simulated: 1, Derived: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
-	}
-	close(start)
-	wg.Wait()
-	if results[0] != results[1] {
-		t.Error("the two callers got different results")
-	}
-	if got := map[Resolution]int{hows[0]: 1, hows[1]: 1}; len(got) != 2 || got[Simulated] != 1 || got[Memoized] != 1 {
-		t.Errorf("resolutions %v, want one simulated and one memoized", hows)
-	}
-	key := RunKey(w, base, opt)
-	if want := []string{"get " + key, "put " + key}; !reflect.DeepEqual(s.calls, want) {
-		t.Errorf("store calls %q, want %q", s.calls, want)
+			s := &countingStore{c: c}
+			var r Resolver
+			start := make(chan struct{})
+			results := make([]*sim.Result, 2)
+			hows := make([]Resolution, 2)
+			var wg sync.WaitGroup
+			for i := range results {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					var err error
+					if results[i], hows[i], err = r.Resolve(s, w, tc.sys, opt); err != nil {
+						t.Error(err)
+					}
+				}()
+			}
+			close(start)
+			wg.Wait()
+			if results[0] != results[1] {
+				t.Error("the two callers got different results")
+			}
+			if got := map[Resolution]int{hows[0]: 1, hows[1]: 1}; len(got) != 2 || got[tc.how] != 1 || got[Memoized] != 1 {
+				t.Errorf("resolutions %v, want one %v and one memoized", hows, tc.how)
+			}
+			if !reflect.DeepEqual(s.calls, tc.calls) {
+				t.Errorf("store calls %q, want %q", s.calls, tc.calls)
+			}
+			if got := r.Counts(); got.Simulated != tc.count.Simulated || got.Derived != tc.count.Derived || got.Resumed != 0 {
+				t.Errorf("counts %+v, want %+v", got, tc.count)
+			}
+		})
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/objstore"
 	"repro/internal/report"
 )
 
@@ -91,9 +92,13 @@ func TestPlanMixedManifest(t *testing.T) {
 		t.Fatalf("mixed manifest fails validation: %v", err)
 	}
 	// Both kinds must flow through the daemon queue unchanged.
-	qj := m.QueueJobs()
-	if len(qj) != len(m.Jobs) || qj[len(qj)-1].Workload != MCWorkload {
-		t.Fatalf("queue jobs do not cover the Monte-Carlo block: %d entries", len(qj))
+	raw, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := objstore.NewServer(nil, objstore.ServerOptions{}).Register(raw)
+	if err != nil || reg.Jobs != len(m.Jobs) {
+		t.Fatalf("the daemon registers %d of the manifest's %d jobs: %v", reg.Jobs, len(m.Jobs), err)
 	}
 }
 

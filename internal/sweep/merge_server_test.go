@@ -61,9 +61,9 @@ func (l *requestLog) list() []string {
 
 // serveStore runs the given jobs of m (every job when jobs is nil) into
 // a fresh store directory and serves it from an in-process daemon with
-// m as its default manifest — with the sweep accumulator as figure
-// folder when folder is set. It returns the store directory, a client
-// namespaced to m, and the daemon's request log.
+// m registered — with the sweep accumulator as figure folder when
+// folder is set. It returns the store directory, a client namespaced to
+// m, and the daemon's request log.
 func serveStore(t *testing.T, m *Manifest, jobs []int, folder bool) (string, *objstore.Client, *requestLog) {
 	t.Helper()
 	store := t.TempDir()
@@ -72,11 +72,7 @@ func serveStore(t *testing.T, m *Manifest, jobs []int, folder bool) (string, *ob
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, err := objstore.ManifestFingerprint(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := objstore.ServerOptions{Manifest: raw, Jobs: m.QueueJobs()}
+	var opts objstore.ServerOptions
 	if folder {
 		opts.NewFolder = func(raw []byte) (objstore.FigureFolder, error) {
 			var m Manifest
@@ -86,10 +82,15 @@ func serveStore(t *testing.T, m *Manifest, jobs []int, folder bool) (string, *ob
 			return m.NewAccumulator()
 		}
 	}
+	srv := objstore.NewServer(cache, opts)
+	reg, err := srv.Register(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
 	log := &requestLog{}
-	ts := httptest.NewServer(log.wrap(objstore.NewServer(cache, opts).Handler()))
+	ts := httptest.NewServer(log.wrap(srv.Handler()))
 	t.Cleanup(ts.Close)
-	return store, objstore.NewClient(ts.URL).ForManifest(fp), log
+	return store, objstore.NewClient(ts.URL).ForManifest(reg.Fingerprint), log
 }
 
 // TestMergeServerReadsOneSnapshot pins the transport's I/O: a server
@@ -123,8 +124,7 @@ func TestMergeServerReadsOneSnapshot(t *testing.T) {
 }
 
 // TestMergeServerRejectsUnboundClient: a client without a manifest
-// namespace would read the daemon's default manifest, which need not
-// be this one, so the merge refuses it before any request.
+// namespace addresses no queue, so the merge fails before any request.
 func TestMergeServerRejectsUnboundClient(t *testing.T) {
 	m := tinyMixedManifest(t)
 	_, c, log := serveStore(t, m, []int{}, true)

@@ -90,10 +90,27 @@ func startCachedCmd(t *testing.T, bin string, args ...string) (string, *exec.Cmd
 	return url, cmd
 }
 
-// queueStatus polls the daemon's default-tenant status endpoint.
+// queueStatus polls the status of the one manifest the daemon serves.
 func queueStatus(t *testing.T, url string) map[string]any {
 	t.Helper()
-	return queueStatusPath(t, url, "/v1/status")
+	c, err := objstore.NewClient(url).SoleManifest()
+	if err != nil {
+		t.Fatalf("status: %v", err)
+	}
+	return queueStatusPath(t, url, "/m/"+c.Fingerprint()+"/status")
+}
+
+// claims maps each worker of a decoded queue status to the jobs it
+// claimed, leaving out workers that claimed none.
+func claims(st map[string]any) map[string]float64 {
+	out := map[string]float64{}
+	workers, _ := st["workers"].(map[string]any)
+	for name, row := range workers {
+		if n, _ := row.(map[string]any)["claimed"].(float64); n > 0 {
+			out[name] = n
+		}
+	}
+	return out
 }
 
 // queueStatusPath polls any status route (namespaced tenants use
@@ -332,7 +349,7 @@ func TestServerSweepWorkStealingTwoWorkerProcesses(t *testing.T) {
 	// The queue drained and every job was claimed by exactly one of
 	// the two named workers.
 	st := queueStatus(t, url)
-	claimed := st["claimed"].(map[string]any)
+	claimed := claims(st)
 	if len(claimed) != 2 {
 		t.Errorf("claims from %d workers, want 2: %v", len(claimed), claimed)
 	}
@@ -702,12 +719,11 @@ func TestServerTwoManifestsConcurrently(t *testing.T) {
 	if done := stB["done"].(float64); done != jobsB {
 		t.Errorf("manifest B: %v done, want %d", done, jobsB)
 	}
-	claimedA := stA["claimed"].(map[string]any)
-	claimedB := stB["claimed"].(map[string]any)
-	if len(claimedA) != 1 || claimedA["wa"] == nil || claimedA["wa"].(float64) != jobsA {
+	claimedA, claimedB := claims(stA), claims(stB)
+	if len(claimedA) != 1 || claimedA["wa"] != jobsA {
 		t.Errorf("manifest A claims crossed namespaces: %v", claimedA)
 	}
-	if len(claimedB) != 1 || claimedB["wb"] == nil || claimedB["wb"].(float64) != jobsB {
+	if len(claimedB) != 1 || claimedB["wb"] != jobsB {
 		t.Errorf("manifest B claims crossed namespaces: %v", claimedB)
 	}
 

@@ -21,25 +21,13 @@ import (
 // need no filesystem interchange at all: ship the binary, start the
 // daemon, point workers at it.
 
-// QueueJobs converts the manifest's deduplicated job set into the
-// object store's claimable queue entries, in manifest order — a
-// claim's Job index addresses m.Jobs, which is how workers map a
-// granted claim back onto the evaluation plan.
-func (m *Manifest) QueueJobs() []objstore.QueueJob {
-	jobs := make([]objstore.QueueJob, len(m.Jobs))
-	for i, j := range m.Jobs {
-		jobs[i] = objstore.QueueJob{Key: j.Key, Workload: j.Workload, Label: j.Label}
-	}
-	return jobs
-}
-
 // WorkStats reports what a RunWork invocation did. Every claimed job
 // counts in exactly one of Simulated, Derived, Resumed and Hits.
 type WorkStats struct {
 	// Claimed is how many queue jobs this worker won. Simulated is how
 	// many it ran in full: simulations and trial batches. Derived and
 	// Resumed count the mitigated cells built from their baseline, as
-	// report.CellStats counts them. Hits is how many were already in
+	// simcache.Resolver counts them. Hits is how many were already in
 	// the store (pushed by an earlier run, or by a worker that lost its
 	// lease after doing the work) or already resolved by this call.
 	Claimed, Simulated, Derived, Resumed, Hits int
@@ -235,9 +223,6 @@ func (m *Manifest) RunWork(client *objstore.Client, worker string, goroutines in
 // Nothing is pulled, written or folded locally. mergedDir and pack are
 // ignored; they remain for existing callers.
 func (m *Manifest) MergeServer(mergedDir string, client *objstore.Client, pack bool, progress io.Writer) (*Results, error) {
-	if client.Fingerprint() == "" {
-		return nil, fmt.Errorf("sweep: server merge needs a client namespaced to the manifest (Client.ForManifest); an unbound one reads the daemon's default manifest")
-	}
 	p, err := m.expand()
 	if err != nil {
 		return nil, err

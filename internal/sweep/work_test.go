@@ -65,9 +65,9 @@ func TestRunWorkRequestBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	claimed, completed := 0, 0
-	for w := range st.Claimed {
-		claimed += st.Claimed[w]
-		completed += st.Complete[w]
+	for _, w := range st.Workers {
+		claimed += w.Claimed
+		completed += w.Completed
 	}
 	if claimed != n || completed != n || st.Done != n {
 		t.Errorf("the queue granted %d claims and %d completions and counts %d done, for %d jobs", claimed, completed, st.Done, n)
